@@ -154,11 +154,69 @@ func BenchmarkDataflowDRAMStalls(b *testing.B) {
 
 // --- Ablations ---
 
-// benchMemoryRun replays one mid-size GEMM against a configurable DRAM
-// system; the ablation benches vary one knob at a time. It fails outright
-// if the event engine reports zero skipped cycles: on a memory-bound
-// config like this one, cycle-skipping is the engine's core perf contract
-// (mirroring the cache-hit assertion in BenchmarkExploreCached).
+// memoryRunCase replays the memory ablations' mid-size GEMM (256×128×256,
+// weight stationary, 32×32 array) against one DDR4 channel with a 64-entry
+// queue, under the given row policy and scheduler. span, when non-nil, is
+// attached to both engines.
+func memoryRunCase(policy dram.RowPolicy, sched dram.Scheduler, span *telemetry.Span) (*sram.Result, error) {
+	g := systolic.Gemm{M: 256, N: 128, K: 256}
+	s, err := sram.BuildSchedule(config.WeightStationary, 32, 32, g, sram.ScheduleOptions{})
+	if err != nil {
+		return nil, err
+	}
+	sys, err := dram.New(dram.DDR4_2400(), dram.Options{
+		Channels: 1, QueueDepth: 64, Policy: policy, Sched: sched, Trace: span,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sram.Simulate(context.Background(), s, sys, sram.Options{MaxRequestsPerCycle: 1, Trace: span})
+}
+
+// ticksPerRequest is the event engine's work per line request: the cycles
+// it ticked rather than skipped, (TotalCycles − SkippedCycles), over the
+// read and write requests issued.
+func ticksPerRequest(r *sram.Result) float64 {
+	return float64(r.TotalCycles-r.SkippedCycles) / float64(r.ReadRequests+r.WriteRequests)
+}
+
+// maxTicksPerRequest bounds the event engine's work on memoryRunCase:
+// cycles ticked per line request. Open-row replays tick about 1.5 cycles
+// per request; close-row ones about 2.5, since every request needs its own
+// ACT.
+func maxTicksPerRequest(policy dram.RowPolicy) float64 {
+	if policy == dram.CloseRow {
+		return 3.0
+	}
+	return 2.0
+}
+
+// TestReplayTicksPerRequest is the regression probe on the event engine's
+// work: on memoryRunCase it must wake about once per DRAM command, not
+// once per cycle or per retry.
+func TestReplayTicksPerRequest(t *testing.T) {
+	for _, c := range []struct {
+		policy dram.RowPolicy
+		sched  dram.Scheduler
+	}{{dram.OpenRow, dram.FRFCFS}, {dram.OpenRow, dram.FCFS}, {dram.CloseRow, dram.FRFCFS}} {
+		res, err := memoryRunCase(c.policy, c.sched, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, bound := ticksPerRequest(res), maxTicksPerRequest(c.policy)
+		t.Logf("%v/%v: %.3f ticked cycles per request", c.policy, c.sched, got)
+		if got > bound {
+			t.Errorf("%v/%v: %.3f ticked cycles per request, bound %.1f", c.policy, c.sched, got, bound)
+		}
+	}
+}
+
+// benchMemoryRun replays memoryRunCase; the ablation benches vary one knob
+// at a time. It fails outright if the event engine reports zero skipped
+// cycles or ticks more cycles per request than maxTicksPerRequest: on a
+// memory-bound config like this one, cycle-skipping is the engine's core
+// perf contract (mirroring the cache-hit assertion in
+// BenchmarkExploreCached).
 //
 // With SCALESIM_BENCH_TELEMETRY set, each iteration runs with a live span
 // attached — exactly what WithTrace threads into these engines — so CI can
@@ -166,23 +224,12 @@ func BenchmarkDataflowDRAMStalls(b *testing.B) {
 func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
 	b.Helper()
 	traced := os.Getenv("SCALESIM_BENCH_TELEMETRY") != ""
-	g := systolic.Gemm{M: 256, N: 128, K: 256}
 	for i := 0; i < b.N; i++ {
 		var span *telemetry.Span
 		if traced {
 			span = telemetry.NewTracer().Start("bench", "run")
 		}
-		s, err := sram.BuildSchedule(config.WeightStationary, 32, 32, g, sram.ScheduleOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys, err := dram.New(dram.DDR4_2400(), dram.Options{
-			Channels: 1, QueueDepth: 64, Policy: policy, Sched: sched, Trace: span,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sram.Simulate(s, sys, sram.Options{MaxRequestsPerCycle: 1, Trace: span})
+		res, err := memoryRunCase(policy, sched, span)
 		span.End()
 		if err != nil {
 			b.Fatal(err)
@@ -190,9 +237,13 @@ func benchMemoryRun(b *testing.B, policy dram.RowPolicy, sched dram.Scheduler) {
 		if res.SkippedCycles == 0 {
 			b.Fatal("event engine skipped zero cycles on a memory-bound config")
 		}
+		if tpr, bound := ticksPerRequest(res), maxTicksPerRequest(policy); tpr > bound {
+			b.Fatalf("event engine ticked %.3f cycles per request, bound %.1f", tpr, bound)
+		}
 		b.ReportMetric(float64(res.TotalCycles), "sim_cycles")
 		b.ReportMetric(res.DRAM.RowHitRate(), "row_hit_rate")
 		b.ReportMetric(float64(res.SkippedCycles), "skipped_cycles")
+		b.ReportMetric(ticksPerRequest(res), "ticks_per_request")
 	}
 }
 

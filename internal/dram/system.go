@@ -199,10 +199,16 @@ type channel struct {
 	free []*pending
 	// quiet memoizes the channel's horizon: while quietValid, ticking
 	// before cycle `quiet` provably does nothing (refresh excepted — the
-	// refresh check runs before the memo is consulted). Invalidated by
-	// every state change: enqueue, command issue, refresh.
-	quiet      int64
-	quietValid bool
+	// refresh check runs before the memo is consulted). Next to it sits
+	// the scan that produced it: the scheduler picks queue index
+	// quietPick (-1: none) at every cycle before quietArrive, the earliest
+	// scanned arrival, so the tick at the horizon issues without scanning
+	// again. Invalidated by every state change the scan can see: an
+	// enqueue inside the scan, a command issue, a refresh.
+	quiet       int64
+	quietArrive int64
+	quietPick   int
+	quietValid  bool
 }
 
 // System is a multi-channel DRAM memory system.
@@ -293,6 +299,15 @@ func New(tech Tech, opts Options) (*System, error) {
 // Now returns the current simulation cycle.
 func (s *System) Now() int64 { return s.now }
 
+// channelOf returns the channel a byte address maps to: the lowest
+// address bits above the burst offset (see decode).
+func (s *System) channelOf(addr int64) int {
+	if s.pow2 {
+		return int(addr >> s.lineShift & s.chMask)
+	}
+	return int(addr / s.lineBytes % s.nch)
+}
+
 // decode splits a byte address into channel/rank/bank/row coordinates using
 // a row:rank:bank:column:channel interleaving (channel bits lowest, above
 // the burst offset, so consecutive lines stripe across channels).
@@ -323,34 +338,38 @@ func (s *System) decode(addr int64) (ch, rank, bk int, row int64) {
 
 // CanEnqueue reports whether the target channel queue has room for addr.
 func (s *System) CanEnqueue(addr int64) bool {
-	ch, _, _, _ := s.decode(addr)
-	return s.channels[ch].queue.n < s.Opts.QueueDepth
+	return s.channels[s.channelOf(addr)].queue.n < s.Opts.QueueDepth
 }
 
 // QueueOccupancy returns the number of pending requests on addr's channel.
 func (s *System) QueueOccupancy(addr int64) int {
-	ch, _, _, _ := s.decode(addr)
-	return s.channels[ch].queue.n
+	return s.channels[s.channelOf(addr)].queue.n
 }
 
 // Enqueue admits a request. It returns false (and leaves the request
 // untouched) when the channel queue is full. The request's Arrive field is
-// clamped forward to the current cycle.
+// clamped forward to the current cycle. Only an admitted request's address
+// is decoded in full.
 func (s *System) Enqueue(req *Request) bool {
-	chIdx, rank, bk, row := s.decode(req.Addr)
-	ch := s.channels[chIdx]
+	ch := s.channels[s.channelOf(req.Addr)]
 	if ch.queue.n >= s.Opts.QueueDepth {
 		return false
 	}
+	_, rank, bk, row := s.decode(req.Addr)
 	if req.Arrive < s.now {
 		req.Arrive = s.now
+	}
+	// A request queued behind the scheduler's scan (past the FR-FCFS
+	// reorder window, or behind the FCFS head) can change neither the pick
+	// nor its horizon, so the memo survives it.
+	if ch.queue.n < ch.scanDepth() {
+		ch.quietValid = false
 	}
 	ch.seq++
 	p := ch.getPending()
 	p.req, p.rank, p.bank, p.row, p.seq = req, rank, bk, row, ch.seq
 	p.bk = &ch.banks[rank][bk]
 	ch.queue.push(p)
-	ch.quietValid = false
 	return true
 }
 
@@ -390,13 +409,17 @@ const farFuture = int64(1) << 62
 // found a dead cycle — the perf contract the bench smoke test enforces.
 func (s *System) SkippedCycles() int64 { return s.skipped }
 
-// NextEventCycle returns the earliest cycle strictly after Now() at which
+// nextEventCycle returns the earliest cycle strictly after Now() at which
 // any channel can change state: fire a refresh, come out of a refresh
 // block, see a queued request arrive, or legally issue a PRE/ACT/column
 // command. Cycles before the horizon are provably dead — ticking through
 // them would change neither state nor statistics. Returns farFuture when
 // every queue is empty and refresh is disabled.
-func (s *System) NextEventCycle() int64 {
+//
+// Every caller advances the clock at least to Now()+1 right after, with no
+// enqueue in between, so the scan may already record the row hit/miss/
+// conflict classification of the tick at Now()+1 (see channel.nextEvent).
+func (s *System) nextEventCycle() int64 {
 	next := farFuture
 	for _, ch := range s.channels {
 		if e := ch.nextEvent(s.now); e < next {
@@ -437,12 +460,25 @@ func (s *System) AdvanceTo(target int64) {
 			s.Tick()
 			return
 		}
-		next := s.NextEventCycle()
-		if next > target {
-			next = target
-		}
-		s.stepTo(next)
+		s.stepTo(min(s.nextEventCycle(), target))
 	}
+}
+
+// AdvanceToEvent advances the clock by at least one cycle: to the next
+// cycle at which any channel can change state, or to limit if that comes
+// first. It returns the new cycle and the horizon it found, the earliest
+// cycle after the old one at which the controller could act. Before that
+// horizon no command issues on a channel that receives no new request —
+// in particular, a full queue frees no slot. Under Opts.ReferenceTicks it
+// ticks exactly one cycle and reports that cycle as the horizon.
+func (s *System) AdvanceToEvent(limit int64) (now, horizon int64) {
+	if s.Opts.ReferenceTicks {
+		s.Tick()
+		return s.now, s.now
+	}
+	horizon = s.nextEventCycle()
+	s.stepTo(max(min(horizon, limit), s.now+1))
+	return s.now, horizon
 }
 
 // RunUntilDrained advances until no requests are pending or maxCycles
@@ -468,7 +504,7 @@ func (s *System) RunUntilDrained(maxCycles int64) (int64, error) {
 			s.Tick()
 			continue
 		}
-		next := s.NextEventCycle()
+		next := s.nextEventCycle()
 		// Never advance beyond the budget boundary: the reference loop
 		// stops (and fires any refreshes) there too.
 		if maxCycles >= 0 && next > start+maxCycles {
@@ -551,12 +587,18 @@ func (ch *channel) tick(now int64) {
 	if ch.quietValid && now < ch.quiet {
 		return
 	}
+	// The memoized pick holds until the first scanned arrival.
+	var idx int
+	var futureArrive int64
+	if ch.quietValid && now < ch.quietArrive {
+		idx, futureArrive = ch.quietPick, ch.quietArrive
+	} else {
+		idx, futureArrive = ch.pickAt(now)
+	}
 	ch.quietValid = false
-
-	idx, futureArrive := ch.pickAt(now)
 	if idx < 0 {
 		// Nothing schedulable until a queued request arrives.
-		ch.quiet, ch.quietValid = futureArrive, true
+		ch.setQuiet(-1, farFuture, futureArrive)
 		return
 	}
 	p := ch.queue.at(idx)
@@ -564,15 +606,7 @@ func (ch *channel) tick(now int64) {
 
 	// Classify the request on its first service attempt only.
 	if !p.classified {
-		p.classified = true
-		switch {
-		case bk.openRow == p.row:
-			ch.stats.RowHits++
-		case bk.openRow < 0:
-			ch.stats.RowMisses++
-		default:
-			ch.stats.RowConflicts++
-		}
+		ch.classify(p)
 	}
 
 	switch {
@@ -596,7 +630,28 @@ func (ch *channel) tick(now int64) {
 	// The picked command could not issue: the channel is quiet until its
 	// earliest legal cycle, unless a later-arriving request changes the
 	// pick first.
-	ch.quiet, ch.quietValid = min(ch.readyCycle(p), futureArrive), true
+	ch.setQuiet(idx, ch.readyCycle(p), futureArrive)
+}
+
+// setQuiet memoizes a scan: queue index idx is the pick until cycle arrive,
+// and its command becomes legal at ready.
+func (ch *channel) setQuiet(idx int, ready, arrive int64) {
+	ch.quiet, ch.quietArrive, ch.quietPick, ch.quietValid = min(ready, arrive), arrive, idx, true
+}
+
+// classify counts a request's first service attempt as a row hit, miss or
+// conflict against its bank's current row; each request is classified
+// exactly once.
+func (ch *channel) classify(p *pending) {
+	p.classified = true
+	switch {
+	case p.bk.openRow == p.row:
+		ch.stats.RowHits++
+	case p.bk.openRow < 0:
+		ch.stats.RowMisses++
+	default:
+		ch.stats.RowConflicts++
+	}
 }
 
 // readyCycle returns the earliest cycle the picked request's next command
@@ -640,7 +695,9 @@ func (ch *channel) actReady(rank int, bk *bank) int64 {
 // could do anything. It mirrors tick exactly: between two command issues
 // the queue, bank states and timing horizons are all frozen, so the
 // scheduler's pick is stable and the earliest legal issue cycle of the
-// picked request can be read straight off the bank/bus horizons.
+// picked request can be read straight off the bank/bus horizons. The
+// caller advances to at least now+1 before anything is enqueued (see
+// System.nextEventCycle).
 func (ch *channel) nextEvent(now int64) int64 {
 	next := farFuture
 	if !ch.opts.DisableRefresh {
@@ -661,46 +718,37 @@ func (ch *channel) nextEvent(now int64) int64 {
 	}
 	// A previous scan may already have proven the channel quiet.
 	if ch.quietValid {
-		q := ch.quiet
-		if q < t {
-			q = t
-		}
-		if q < next {
-			next = q
-		}
-		return next
+		return min(next, max(ch.quiet, t))
 	}
 	idx, futureArrive := ch.pickAt(t)
 	// A request arriving inside the horizon can change the pick (or become
 	// the pick), so arrivals bound the jump too.
-	if futureArrive < next {
-		next = futureArrive
-	}
+	next = min(next, futureArrive)
 	if idx < 0 {
+		ch.setQuiet(-1, farFuture, futureArrive)
 		return next
 	}
 	p := ch.queue.at(idx)
 	if !p.classified {
 		// The first service attempt classifies the request as a row
-		// hit/miss/conflict even when no command can issue yet, and a
-		// refresh may close the row before the command becomes legal —
-		// so the first pick cycle is a stats event in its own right.
-		if t < next {
-			next = t
+		// hit/miss/conflict even when no command can issue yet. When that
+		// attempt is the tick at now+1 and no refresh fires there first,
+		// nothing can touch the bank's row before it, so the
+		// classification is recorded now, as part of the jump. Otherwise
+		// (a refresh block ends later, so a request may be enqueued in
+		// between, or a refresh closes the row first) the first pick
+		// cycle is an event of its own.
+		if t != now+1 || next <= t {
+			return min(next, t)
 		}
-		return next
+		ch.classify(p)
 	}
-	ready := ch.readyCycle(p)
-	if ready < t {
-		ready = t
-	}
-	// Memoize the horizon (refresh excluded: tick checks it first) so
-	// repeated horizon queries and intervening ticks are O(1).
-	ch.quiet, ch.quietValid = min(ready, futureArrive), true
-	if ready < next {
-		next = ready
-	}
-	return next
+	ready := max(ch.readyCycle(p), t)
+	// Memoize the horizon and the pick (refresh excluded: tick checks it
+	// first) so repeated horizon queries and the tick at the horizon are
+	// O(1).
+	ch.setQuiet(idx, ready, futureArrive)
+	return min(next, ready)
 }
 
 // pickAt chooses the queue index the scheduler services at cycle t (FCFS:
@@ -709,6 +757,7 @@ func (ch *channel) nextEvent(now int64) int64 {
 // index 0 is always the oldest. It also returns the earliest Arrive > t
 // among the scanned requests (farFuture if none): the pick is only
 // guaranteed stable until that arrival.
+
 func (ch *channel) pickAt(t int64) (int, int64) {
 	n := ch.queue.n
 	futureArrive := farFuture
@@ -721,10 +770,7 @@ func (ch *channel) pickAt(t int64) (int, int64) {
 		}
 		return 0, futureArrive
 	}
-	limit := n
-	if limit > reorderWindow {
-		limit = reorderWindow
-	}
+	limit := min(n, reorderWindow)
 	buf, mask := ch.queue.buf, len(ch.queue.buf)-1
 	pos := ch.queue.head
 	bestAny := -1
@@ -751,6 +797,14 @@ func (ch *channel) pickAt(t int64) (int, int64) {
 // reorder, matching the limited associative search of real controllers
 // (and keeping scheduling O(window) per cycle).
 const reorderWindow = 64
+
+// scanDepth is how many queue entries, oldest first, pickAt looks at.
+func (ch *channel) scanDepth() int {
+	if ch.opts.Sched == FCFS {
+		return 1
+	}
+	return reorderWindow
+}
 
 // remove deletes the queue entry at idx and recycles its pending slot.
 func (ch *channel) remove(idx int) {
@@ -873,16 +927,11 @@ func (s *System) SimulateTrace(reqs []*Request) (Stats, int64, error) {
 			i++
 			continue
 		}
-		if s.Opts.ReferenceTicks {
-			stalls++
-			s.Tick()
-			continue
-		}
 		// Queue full: the head request retries (and fails) every cycle
 		// until the next controller event can free a slot.
-		next := s.NextEventCycle()
-		stalls += next - s.now
-		s.stepTo(next)
+		prev := s.now
+		now, _ := s.AdvanceToEvent(farFuture)
+		stalls += now - prev
 	}
 	if _, err := s.RunUntilDrained(-1); err != nil {
 		return s.Stats(), stalls, err

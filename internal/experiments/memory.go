@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"scalesim/internal/config"
@@ -31,7 +32,7 @@ func runLayerMemory(df config.Dataflow, r, c int, l *topology.Layer,
 	if err != nil {
 		return nil, err
 	}
-	return sram.Simulate(sched, sys, sram.Options{
+	return sram.Simulate(context.TODO(), sched, sys, sram.Options{
 		MaxRequestsPerCycle: maxReq,
 		StreamWindowWords:   windowWords,
 	})

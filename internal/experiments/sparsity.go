@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"scalesim/internal/config"
@@ -91,7 +92,7 @@ func RunFig5(p Fig5Params) ([]Fig5Point, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := sram.Simulate(sched, sys, sram.Options{
+				res, err := sram.Simulate(context.TODO(), sched, sys, sram.Options{
 					MaxRequestsPerCycle: 1,
 					StreamWindowWords:   int64(kb) * 1024 / 4 / 2,
 				})

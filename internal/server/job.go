@@ -74,6 +74,20 @@ func (j *Job) dto() JobDTO {
 	return j.dtoLocked()
 }
 
+// acceptedDTO renders the job as accepted (state queued), for the 202
+// reply. By the time the handler writes it a worker may already own the
+// job — a warm-cache job can even be done — so it reads only the fields
+// fixed at placement.
+func (j *Job) acceptedDTO() JobDTO {
+	return JobDTO{
+		ID:      j.id,
+		Kind:    j.kind,
+		State:   string(JobQueued),
+		Shard:   j.shard,
+		Created: j.created.UTC().Format(time.RFC3339Nano),
+	}
+}
+
 func (j *Job) dtoLocked() JobDTO {
 	d := JobDTO{
 		ID:         j.id,

@@ -340,9 +340,10 @@ func (s *Server) placeLocked(kind string, body []byte, timeout time.Duration, ru
 	placed := false
 	for k := 0; k < len(s.shards); k++ {
 		shardIdx := (s.seq + k) % len(s.shards)
+		// Set before the send: once queued, the job belongs to the worker.
+		j.shard = shardIdx
 		select {
 		case s.shards[shardIdx].queue <- j:
-			j.shard = shardIdx
 			placed = true
 		default:
 			continue
@@ -540,7 +541,7 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request, kind stri
 		enqueueError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.dto())
+	writeJSON(w, http.StatusAccepted, job.acceptedDTO())
 }
 
 // buildRun validates body for kind and returns the job's run closure plus

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -61,7 +62,7 @@ func TestEstimateBoundsSimulateGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sim, err := Simulate(sched, sys, opts)
+					sim, err := Simulate(context.Background(), sched, sys, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,7 +109,7 @@ func TestEstimateBoundsSimulateRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := Simulate(sched, sys, opts)
+			sim, err := Simulate(context.Background(), sched, sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

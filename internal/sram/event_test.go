@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -29,7 +30,7 @@ func runBoth(t *testing.T, df config.Dataflow, r, c int, g systolic.Gemm,
 		}
 		o := opts
 		o.ReferenceTickLoop = reference
-		res, err := Simulate(sched, sys, o)
+		res, err := Simulate(context.Background(), sched, sys, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,4 +137,33 @@ func TestEventEngineMatchesReferenceRandomized(t *testing.T) {
 			assertIdentical(t, ev, ref)
 		})
 	}
+}
+
+// FuzzReplayMatchesReference drives the event engine and the per-cycle
+// reference loop over arbitrary GEMMs, arrays, dataflows, channel counts,
+// queue depths (on both sides of the 64-entry FR-FCFS reorder window), row
+// policies, schedulers, refresh settings, interface widths and staging
+// windows; every case must produce identical Results.
+func FuzzReplayMatchesReference(f *testing.F) {
+	// The committed seed corpus (testdata/fuzz) covers queue depths 8, 64,
+	// 65 and 128. flags: bit 0 close-row, bit 1 FCFS, bit 2 refresh off.
+	dataflows := config.Dataflows()
+	f.Fuzz(func(t *testing.T, dfRaw, arrRaw uint8, mRaw, nRaw, kRaw uint16,
+		chRaw, qdRaw, flags, reqRaw, winRaw uint8) {
+		arr := []int{4, 8, 16, 32}[arrRaw%4]
+		g := systolic.Gemm{M: int(mRaw)%96 + 1, N: int(nRaw)%96 + 1, K: int(kRaw)%96 + 1}
+		dopts := dram.Options{
+			Channels:       int(chRaw)%4 + 1,
+			QueueDepth:     int(qdRaw) + 1,
+			Policy:         dram.RowPolicy(flags & 1),
+			Sched:          dram.Scheduler(flags >> 1 & 1),
+			DisableRefresh: flags&4 != 0,
+		}
+		opts := Options{
+			MaxRequestsPerCycle: int(reqRaw)%4 + 1,
+			StreamWindowWords:   int64(256) << (winRaw % 5),
+		}
+		ev, ref := runBoth(t, dataflows[int(dfRaw)%len(dataflows)], arr, arr, g, dopts, dram.DDR4_2400(), opts)
+		assertIdentical(t, ev, ref)
+	})
 }

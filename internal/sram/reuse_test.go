@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +104,7 @@ func TestSimulateWithReuseFasterOrEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := newDDR4(t, 1, 64)
-		res, err := Simulate(sched, sys, Options{
+		res, err := Simulate(context.Background(), sched, sys, Options{
 			MaxRequestsPerCycle: 1, StreamWindowWords: sramWords / 2,
 		})
 		if err != nil {
@@ -127,7 +128,7 @@ func TestWriteBackpressureBoundsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := newDDR4(t, 1, 4)
-	res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 2})
+	res, err := Simulate(context.Background(), sched, sys, Options{MaxRequestsPerCycle: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"fmt"
 
 	"scalesim/internal/config"
@@ -26,10 +27,6 @@ type Options struct {
 	// CollectTrace records every DRAM transaction (arrival cycle,
 	// address, type, round-trip) into Result.Trace.
 	CollectTrace bool
-	// DebugEvery, when positive, prints replay state every N cycles while
-	// diagnosing stalls or livelocks in new schedules (exact under
-	// ReferenceTickLoop; best-effort when the event engine skips cycles).
-	DebugEvery int64
 	// ReferenceTickLoop advances the replay — and the attached DRAM
 	// system — one cycle per iteration instead of jumping between
 	// events. Slow; retained as the oracle the event engine's
@@ -110,10 +107,17 @@ func (r *Result) StallFraction() float64 {
 // waiting on stationary fills, stalled on stream data, counting down a
 // drain phase, or blocked on a full request queue — the clock jumps
 // straight to the next cycle anything can change (the DRAM controller's
-// event horizon, the next known data-return time, or the end of the drain)
-// instead of ticking through the dead cycles. Options.ReferenceTickLoop
-// restores the per-cycle loop; both modes produce identical Results.
-func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) {
+// event horizon, the return of the last line the array waits for, or the
+// end of the drain) instead of ticking through the dead cycles.
+// Options.ReferenceTickLoop restores the per-cycle loop; both modes produce
+// identical Results.
+//
+// ctx is checked before the first request and at every fold boundary; a
+// cancelled or expired context ends the replay with ctx.Err().
+func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	opts.defaults()
 	if opts.ReferenceTickLoop {
 		// The oracle must be fully per-cycle: the DRAM system ticks cycle
@@ -165,20 +169,19 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	var reqFree [][]dram.Request
 	var cumFree [][]int64
 	var retiredWrites [][]dram.Request
-	getReqs := func() []dram.Request {
-		if n := len(reqFree); n > 0 {
-			s := reqFree[n-1][:0]
-			reqFree = reqFree[:n-1]
-			return s
+	// newReqs builds the requests for one span list, sizing the array once:
+	// the lines are listed first, then copied into a pooled array with room
+	// for all of them, or a new one of exactly that length.
+	newReqs := func(spans []Span, write bool) []dram.Request {
+		lineBuf = lineBuf[:0]
+		for _, sp := range spans {
+			lineBuf = sp.Lines(lineBuf, int64(opts.WordBytes), int64(opts.LineBytes))
 		}
-		return nil
-	}
-	appendSpan := func(dst []dram.Request, sp Span, write bool) []dram.Request {
-		lineBuf = sp.Lines(lineBuf[:0], int64(opts.WordBytes), int64(opts.LineBytes))
-		for _, addr := range lineBuf {
-			dst = append(dst, dram.Request{Addr: addr, Write: write})
+		reqs := takeFit(&reqFree, len(lineBuf))
+		for i, addr := range lineBuf {
+			reqs[i] = dram.Request{Addr: addr, Write: write}
 		}
-		return dst
+		return reqs
 	}
 	materialize := func(i int) *foldReqs {
 		fr := &folds[i]
@@ -186,31 +189,19 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			return fr
 		}
 		f := &sched.Folds[i]
-		fr.stat, fr.stream, fr.writes = getReqs(), getReqs(), getReqs()
-		for _, sp := range f.Stationary {
-			fr.stat = appendSpan(fr.stat, sp, false)
-		}
-		for _, sp := range f.Stream {
-			fr.stream = appendSpan(fr.stream, sp, false)
-		}
+		fr.stat = newReqs(f.Stationary, false)
+		fr.stream = newReqs(f.Stream, false)
 		// Distribute the fold's stream words evenly over its lines
 		// (boundary-straddling lines mean lines × lineWords overcounts;
 		// the final line must land exactly on StreamWords so the fold
 		// cannot complete before every line has been issued and served).
 		total := f.StreamWords()
 		n := int64(len(fr.stream))
-		if m := len(cumFree); m > 0 && int64(cap(cumFree[m-1])) >= n {
-			fr.streamCum = cumFree[m-1][:n]
-			cumFree = cumFree[:m-1]
-		} else {
-			fr.streamCum = make([]int64, n)
-		}
+		fr.streamCum = takeFit(&cumFree, len(fr.stream))
 		for j := int64(0); j < n; j++ {
 			fr.streamCum[j] = total * (j + 1) / n
 		}
-		for _, sp := range f.Writes {
-			fr.writes = appendSpan(fr.writes, sp, true)
-		}
+		fr.writes = newReqs(f.Writes, true)
 		fr.live = true
 		return fr
 	}
@@ -219,16 +210,16 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			return // keep everything for the trace
 		}
 		fr := &folds[i]
-		if fr.stat != nil {
+		if cap(fr.stat) > 0 {
 			reqFree = append(reqFree, fr.stat)
 		}
-		if fr.stream != nil {
+		if cap(fr.stream) > 0 {
 			reqFree = append(reqFree, fr.stream)
 		}
-		if fr.streamCum != nil {
+		if cap(fr.streamCum) > 0 {
 			cumFree = append(cumFree, fr.streamCum)
 		}
-		if fr.writes != nil {
+		if cap(fr.writes) > 0 {
 			retiredWrites = append(retiredWrites, fr.writes)
 		}
 		// Reclaim retired write arrays oldest-first once fully issued.
@@ -286,199 +277,175 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 	stream.SetAttr("folds", len(sched.Folds))
 
 	now := int64(0)
+	// nextRequest returns the request the producer offers next, in
+	// priority order: writes of finished folds (they must leave the
+	// staging buffers), then — for WS/IS, whose outputs stream out of the
+	// array continuously — the current fold's outputs paced to the stream,
+	// then reads in order up to the prefetch horizon (cf+1). It returns
+	// nil when the producer has nothing to offer until the array consumes
+	// more. Stepping past fully issued folds on the way changes nothing
+	// the replay can observe.
+	nextRequest := func() (*dram.Request, reqKind) {
+		for writeFold < cf {
+			wr := materialize(writeFold)
+			if writeIdx < len(wr.writes) {
+				return &wr.writes[writeIdx], drainWrite
+			}
+			release(writeFold)
+			writeFold++
+			writeIdx = 0
+		}
+		if pacedWrites && writeFold == cf && started {
+			fw := materialize(cf)
+			if writeIdx < pacedTarget(len(fw.writes), consumedWords, curStreamTotal) {
+				return &fw.writes[writeIdx], pacedWrite
+			}
+		}
+		for issueFold < len(sched.Folds) && issueFold <= cf+1 {
+			fr := materialize(issueFold)
+			if statIdx < len(fr.stat) {
+				return &fr.stat[statIdx], statRead
+			}
+			if streamIdx < len(fr.stream) {
+				if issuedStreamWords-consumedWordsIfCurrent(issueFold, cf, consumedWords) >= opts.StreamWindowWords {
+					return nil, 0 // staging window full
+				}
+				return &fr.stream[streamIdx], streamRead
+			}
+			// Fold fully issued; move to the next.
+			issueFold++
+			statIdx, streamIdx = 0, 0
+		}
+		return nil, 0
+	}
+	// blocked is the request a full queue last refused. No queue slot can
+	// free before the controller's next event, so until blockedUntil — the
+	// controller horizon the replay saw when it last jumped while refused —
+	// the producer counts it refused again without asking the controller.
+	var blocked *dram.Request
+	var blockedUntil int64
+	// offer hands rq to the controller at cycle now; every refusal counts
+	// toward QueueFullCyc, as in the per-cycle reference loop.
+	offer := func(rq *dram.Request) bool {
+		if rq != blocked || now >= blockedUntil {
+			rq.Arrive = now
+			if sys.Enqueue(rq) {
+				return true
+			}
+			blocked, blockedUntil = rq, now
+		}
+		res.QueueFullCyc++
+		return false
+	}
 	// advanceTo moves the accelerator clock and the DRAM system — clocked
-	// 1:1 — to cycle t, letting the controller compress the dead cycles
-	// in between into per-event work.
+	// 1:1 — to cycle t.
 	advanceTo := func(t int64) {
 		sys.AdvanceTo(t)
 		now = t
 	}
-	// jumpTarget clamps a stall horizon: never past the abort budget (so
-	// the MaxCycles check still fires), always at least one cycle
-	// forward, and exactly one cycle under the reference loop.
-	jumpTarget := func(t int64) int64 {
-		if opts.ReferenceTickLoop {
-			return now + 1
+	// wait advances over a stretch in which the array cannot progress
+	// before cycle until (0: no known cycle). If the producer's next
+	// request — as of the next cycle, after this cycle's issues and the
+	// array's update — finds room, the producer gets the next cycle.
+	// Otherwise nothing changes before the controller's next event or
+	// until, and the clock jumps there: never past the abort budget (so
+	// the MaxCycles check still fires), and by exactly one cycle under the
+	// reference loop. A producer facing a full queue would have retried,
+	// and failed, on every skipped cycle, so QueueFullCyc counts them in
+	// closed form.
+	wait := func(until int64) {
+		rq, _ := nextRequest()
+		if rq != nil && sys.CanEnqueue(rq.Addr) {
+			advanceTo(now + 1)
+			return
 		}
-		if lim := opts.MaxCycles + 1; t > lim {
-			t = lim
+		limit := opts.MaxCycles + 1
+		if until > now && until < limit {
+			limit = until
 		}
-		if t < now+1 {
-			t = now + 1
+		next, horizon := sys.AdvanceToEvent(limit)
+		if rq != nil {
+			res.QueueFullCyc += next - now - 1
+			blocked, blockedUntil = rq, horizon
 		}
-		return t
+		now = next
 	}
 
 	for cf < len(sched.Folds) {
 		if now > opts.MaxCycles {
 			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", opts.MaxCycles)
 		}
-		if opts.DebugEvery > 0 && now%opts.DebugEvery == 0 && now > 0 {
-			fmt.Printf("sram-debug: now=%d cf=%d/%d started=%v phase=%d consumed=%d issued=%d streamAvail=%d issueFold=%d statIdx=%d streamIdx=%d writeFold=%d writeIdx=%d pending=%d\n",
-				now, cf, len(sched.Folds), started, streamPhaseLeft, consumedWords,
-				issuedStreamWords, streamAvail,
-				issueFold, statIdx, streamIdx, writeFold, writeIdx, sys.Pending())
-		}
 
-		// 1) Issue requests. Writes of finished folds go first (they
-		// must leave the staging buffers); for WS/IS the current fold's
-		// outputs also retire continuously, paced to the stream — a full
-		// write queue backs the array up (writeBlocked).
+		// 1) Issue requests; a full paced-write queue backs the array up
+		// (writeBlocked).
 		budget := opts.MaxRequestsPerCycle
 		writeBlocked := false
-		issuedAny := false
-		enqFailed := false
 		for budget > 0 {
-			if writeFold < cf {
-				wr := materialize(writeFold)
-				if writeIdx >= len(wr.writes) {
-					release(writeFold)
-					writeFold++
-					writeIdx = 0
-					continue
-				}
-				rq := &wr.writes[writeIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
-					break
-				}
+			rq, kind := nextRequest()
+			if rq == nil {
+				break
+			}
+			if !offer(rq) {
+				writeBlocked = kind == pacedWrite
+				break
+			}
+			budget--
+			switch kind {
+			case drainWrite, pacedWrite:
 				res.WriteRequests++
-				issuedAny = true
 				writeIdx++
-				budget--
-				continue
-			}
-			if pacedWrites && writeFold == cf && started {
-				fw := materialize(cf)
-				target := pacedTarget(len(fw.writes), consumedWords, curStreamTotal)
-				if writeIdx < target {
-					rq := &fw.writes[writeIdx]
-					rq.Arrive = now
-					if !sys.Enqueue(rq) {
-						res.QueueFullCyc++
-						enqFailed = true
-						writeBlocked = true
-						budget = 0
-						break
-					}
-					res.WriteRequests++
-					issuedAny = true
-					writeIdx++
-					budget--
-					continue
-				}
-			}
-			break
-		}
-		for budget > 0 && issueFold < len(sched.Folds) && issueFold <= cf+1 {
-			fr := materialize(issueFold)
-			if statIdx < len(fr.stat) {
-				rq := &fr.stat[statIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
-					break
-				}
+			case statRead:
 				res.ReadRequests++
-				issuedAny = true
 				statIdx++
-				budget--
-				continue
-			}
-			if streamIdx < len(fr.stream) {
-				if issuedStreamWords-consumedWordsIfCurrent(issueFold, cf, consumedWords) >= opts.StreamWindowWords {
-					break // staging window full
-				}
-				rq := &fr.stream[streamIdx]
-				rq.Arrive = now
-				if !sys.Enqueue(rq) {
-					res.QueueFullCyc++
-					enqFailed = true
-					budget = 0
-					break
-				}
+			case streamRead:
 				// Account issued words with the same per-line
 				// distribution the consumer uses, so the window
 				// comparison stays exact.
-				inc := fr.streamCum[streamIdx]
+				cum := folds[issueFold].streamCum
+				inc := cum[streamIdx]
 				if streamIdx > 0 {
-					inc -= fr.streamCum[streamIdx-1]
+					inc -= cum[streamIdx-1]
 				}
 				issuedStreamWords += inc
 				res.ReadRequests++
-				issuedAny = true
 				streamIdx++
-				budget--
-				continue
 			}
-			// Fold fully issued; move to the next.
-			issueFold++
-			statIdx, streamIdx = 0, 0
-		}
-
-		// stall advances time across a no-progress stretch. If the
-		// producer issued something this cycle it may issue again next
-		// cycle, so only a single cycle passes; otherwise nothing can
-		// change before the DRAM controller's next event or the given
-		// data-return cycle, and the clock jumps straight there. The
-		// producer would have retried (and failed) a blocked enqueue on
-		// every skipped cycle, so QueueFullCyc counts them to match the
-		// reference loop's per-cycle accounting.
-		stall := func(waitDone int64) {
-			next := now + 1
-			if !issuedAny {
-				next = sys.NextEventCycle()
-				if waitDone > now && waitDone < next {
-					next = waitDone
-				}
-			}
-			next = jumpTarget(next)
-			if enqFailed {
-				res.QueueFullCyc += next - now - 1
-			}
-			advanceTo(next)
 		}
 
 		// 2) Advance compute.
 		fr := materialize(cf)
 		if !started {
 			// All stationary data must have returned.
-			for statDone < len(fr.stat) && fr.stat[statDone].Done > 0 &&
-				fr.stat[statDone].Done <= now {
+			for statDone < len(fr.stat) && returned(&fr.stat[statDone], now) {
 				statDone++
 			}
-			ready := statDone == len(fr.stat) && issueFoldBeyondStationary(issueFold, cf, statIdx, len(fr.stat))
-			if ready {
-				started = true
-				f := &sched.Folds[cf]
-				streamPhaseLeft = f.StreamCycles
-				// Non-stream portion of the pipeline (fill + drain).
-				drainLeft = f.ComputeCycles - f.StreamCycles
-				if drainLeft < 0 {
-					drainLeft = 0
-				}
-				consumedWords = 0
-				curStreamTotal = f.StreamWords()
-				streamAvail = 0
-			} else {
+			allIssued := issueFoldBeyondStationary(issueFold, cf, statIdx, len(fr.stat))
+			if statDone < len(fr.stat) || !allIssued {
+				// The fold starts when its last stationary line returns,
+				// known once every line has been served.
 				var waitDone int64
-				if statDone < len(fr.stat) {
-					waitDone = fr.stat[statDone].Done
+				if allIssued {
+					waitDone = lastReturn(fr.stat[statDone:])
 				}
-				stall(waitDone)
+				wait(waitDone)
 				continue
 			}
+			started = true
+			f := &sched.Folds[cf]
+			streamPhaseLeft = f.StreamCycles
+			// Non-stream portion of the pipeline (fill + drain).
+			drainLeft = f.ComputeCycles - f.StreamCycles
+			if drainLeft < 0 {
+				drainLeft = 0
+			}
+			consumedWords = 0
+			curStreamTotal = f.StreamWords()
+			streamAvail = 0
 		}
 		// Stream phase: consume ConsumeRate words/cycle if the data is
 		// here and the write path keeps up; otherwise stall until it is.
 		if streamPhaseLeft > 0 {
-			for streamAvail < len(fr.stream) && fr.stream[streamAvail].Done > 0 &&
-				fr.stream[streamAvail].Done <= now {
+			for streamAvail < len(fr.stream) && returned(&fr.stream[streamAvail], now) {
 				streamAvail++
 			}
 			var availWords int64
@@ -504,30 +471,27 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 				advanceTo(now + 1)
 				continue
 			}
-			// Stall: waiting on the next stream line's data return (or,
-			// when backlogged, on the controller freeing write slots).
+			// Stall: waiting on the lines the next consume step needs —
+			// it can run once the last of them returns — or, when
+			// backlogged, on the controller freeing write slots.
 			var waitDone int64
-			if !backlogged && streamAvail < len(fr.stream) {
-				waitDone = fr.stream[streamAvail].Done
+			if !backlogged {
+				last := streamAvail
+				for fr.streamCum[last] < need {
+					last++
+				}
+				waitDone = lastReturn(fr.stream[streamAvail : last+1])
 			}
-			stall(waitDone)
+			wait(waitDone)
 			continue
 		}
 		if drainLeft > 0 {
-			if issuedAny {
-				drainLeft--
-				advanceTo(now + 1)
-				continue
-			}
-			// Dead stretch: jump to the drain's end or the controller's
-			// next event (which could unblock the producer), whichever
-			// comes first.
-			next := jumpTarget(min(now+drainLeft, sys.NextEventCycle()))
-			if enqFailed {
-				res.QueueFullCyc += next - now - 1
-			}
-			drainLeft -= next - now
-			advanceTo(next)
+			// Dead stretch unless the producer can issue: jump to the
+			// drain's end or the controller's next event (which could
+			// unblock the producer), whichever comes first.
+			prev := now
+			wait(now + drainLeft)
+			drainLeft -= now - prev
 			continue
 		}
 		// Fold complete: release its stream words from the window. If the
@@ -555,6 +519,10 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 		cf++
 		started = false
 		statDone = 0
+		if err := ctx.Err(); err != nil {
+			stream.End()
+			return nil, err
+		}
 	}
 	stream.SetAttr("queue_full_cycles", res.QueueFullCyc)
 	stream.End()
@@ -577,7 +545,7 @@ func Simulate(sched *Schedule, sys *dram.System, opts Options) (*Result, error) 
 			res.WriteRequests++
 			writeIdx++
 		} else {
-			advanceTo(jumpTarget(sys.NextEventCycle()))
+			now, _ = sys.AdvanceToEvent(opts.MaxCycles + 1)
 		}
 	}
 	if _, err := sys.RunUntilDrained(opts.MaxCycles); err != nil {
@@ -637,6 +605,49 @@ func consumedWordsIfCurrent(issueFold, cf int, consumed int64) int64 {
 		return consumed
 	}
 	return 0
+}
+
+// reqKind tells the producer's request sources apart.
+type reqKind int
+
+const (
+	drainWrite reqKind = iota + 1 // output of a finished fold
+	pacedWrite                    // output of the computing fold (WS/IS)
+	statRead
+	streamRead
+)
+
+// returned reports whether rq's data is back by cycle now.
+func returned(rq *dram.Request, now int64) bool { return rq.Done > 0 && rq.Done <= now }
+
+// lastReturn returns the cycle by which every request in reqs has returned,
+// or 0 while any of them is still unserved (its return time unknown).
+func lastReturn(reqs []dram.Request) int64 {
+	var last int64
+	for i := range reqs {
+		if reqs[i].Done == 0 {
+			return 0
+		}
+		last = max(last, reqs[i].Done)
+	}
+	return last
+}
+
+// takeFit removes and returns a pooled array with room for n elements, or
+// makes one of exactly n.
+func takeFit[T any](pool *[][]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	for i, a := range *pool {
+		if cap(a) >= n {
+			last := len(*pool) - 1
+			(*pool)[i] = (*pool)[last]
+			*pool = (*pool)[:last]
+			return a[:n]
+		}
+	}
+	return make([]T, n)
 }
 
 // issueFoldBeyondStationary reports whether fold cf's stationary requests

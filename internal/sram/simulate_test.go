@@ -1,7 +1,10 @@
 package sram
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
@@ -70,7 +73,7 @@ func TestSimulateTerminatesAndStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := newDDR4(t, 1, 32)
-	res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 1, StreamWindowWords: 4096})
+	res, err := Simulate(context.Background(), sched, sys, Options{MaxRequestsPerCycle: 1, StreamWindowWords: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestSimulateLargerQueueNoSlower(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := newDDR4(t, 2, q)
-		res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 2})
+		res, err := Simulate(context.Background(), sched, sys, Options{MaxRequestsPerCycle: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +118,7 @@ func TestSimulateMoreChannelsMoreThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := newDDR4(t, ch, 128)
-		res, err := Simulate(sched, sys, Options{MaxRequestsPerCycle: 4})
+		res, err := Simulate(context.Background(), sched, sys, Options{MaxRequestsPerCycle: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,4 +127,55 @@ func TestSimulateMoreChannelsMoreThroughput(t *testing.T) {
 		}
 		prev = res.ThroughputMBps
 	}
+}
+
+// TestSimulateCanceledBeforeFirstRequest: a context that is already
+// cancelled ends the replay with ctx.Err() before any request reaches the
+// memory system.
+func TestSimulateCanceledBeforeFirstRequest(t *testing.T) {
+	sched, err := BuildSchedule(config.WeightStationary, 16, 16,
+		systolic.Gemm{M: 64, N: 64, K: 64}, ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := newDDR4(t, 1, 16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Simulate(ctx, sched, sys, Options{})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+	if st := sys.Stats(); sys.Now() != 0 || sys.Pending() != 0 || st.Reads+st.Writes != 0 {
+		t.Errorf("memory system touched: now %d, pending %d, stats %+v", sys.Now(), sys.Pending(), st)
+	}
+}
+
+// TestSimulateDeadlineInterruptsReplay: a deadline that expires while the
+// replay runs stops it at the next fold boundary, well before the replay
+// would have finished.
+func TestSimulateDeadlineInterruptsReplay(t *testing.T) {
+	run := func(ctx context.Context) (time.Duration, error) {
+		sched, err := BuildSchedule(config.WeightStationary, 16, 16,
+			systolic.Gemm{M: 512, N: 256, K: 512}, ScheduleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = Simulate(ctx, sched, newDDR4(t, 1, 32), Options{MaxRequestsPerCycle: 1})
+		return time.Since(start), err
+	}
+	full, err := run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), full/20)
+	defer cancel()
+	took, err := run(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took > full/2 {
+		t.Errorf("deadline of %v stopped the replay after %v; the full replay takes %v", full/20, took, full)
+	}
+	t.Logf("full replay %v, stopped after %v", full, took)
 }

@@ -367,7 +367,7 @@ func (memoryStage) FidelityLadder() []Fidelity {
 // requested fidelity: closed-form traffic/stall bounds at Analytical, the
 // event-driven replay at EventDriven (the default), and the per-cycle
 // reference loops at CycleAccurate.
-func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) error {
+func (memoryStage) Apply(ctx context.Context, sc *StageContext, lr *LayerResult) error {
 	cfg := sc.Config
 	lr.DRAMReadWords, lr.DRAMWriteWords = systolic.MinDRAMTraffic(sc.Layer)
 	if !cfg.Memory.Enabled {
@@ -426,7 +426,7 @@ func (memoryStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) e
 	if maxReq < 1 {
 		maxReq = 1
 	}
-	mres, err := sram.Simulate(sched, sys, sram.Options{
+	mres, err := sram.Simulate(ctx, sched, sys, sram.Options{
 		WordBytes:           cfg.WordBytes,
 		MaxRequestsPerCycle: maxReq,
 		StreamWindowWords:   ifW / 2,

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -253,7 +254,7 @@ func (s *Simulator) writeDRAMTrace(base string, dramBase simcache.Key, m, n, k i
 	if err != nil {
 		return err
 	}
-	res, err := sram.Simulate(sched, sys, sram.Options{
+	res, err := sram.Simulate(context.TODO(), sched, sys, sram.Options{
 		WordBytes:           s.cfg.WordBytes,
 		MaxRequestsPerCycle: maxi(1, s.cfg.BandwidthWords*s.cfg.WordBytes/64),
 		StreamWindowWords:   ifW / 2,
