@@ -399,43 +399,38 @@ func TestReportSetWriteAll(t *testing.T) {
 	}
 }
 
-// TestWriteReportsSkipsDisabledMemoryRows guards the junk-row fix: with the
-// memory model disabled, the memory CSV must contain the header only, not a
-// zero-valued row per layer.
-func TestWriteReportsSkipsDisabledMemoryRows(t *testing.T) {
-	cfg := DefaultConfig()
+// TestReportsSkipsDisabledMemoryRows guards the junk-row fix: with the
+// memory model disabled, no layer contributes a zero-valued memory row, so
+// the run has no memory report at all; with it enabled, every layer
+// contributes exactly one row.
+func TestReportsSkipsDisabledMemoryRows(t *testing.T) {
 	topo, err := BuiltinTopology("alexnet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(cfg).Run(context.Background(), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mem bytes.Buffer
-	if err := WriteReports(res, nil, nil, &mem, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(mem.Bytes(), []byte("\n")); n != 1 {
-		t.Fatalf("memory CSV has %d lines, want header only:\n%s", n, mem.String())
-	}
-}
-
-func TestRunTopologyShim(t *testing.T) {
-	cfg := DefaultConfig()
-	topo, err := BuiltinTopology("alexnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := New(cfg).RunTopology(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := New(cfg).Run(context.Background(), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.Layers, cur.Layers) {
-		t.Error("deprecated RunTopology differs from Run")
+	for _, memory := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Memory.Enabled = memory
+		res, err := New(cfg).Run(context.Background(), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := res.Reports()
+		if !memory {
+			if rs.Memory != nil {
+				t.Error("memory report present although the memory model was disabled")
+			}
+			continue
+		}
+		if rs.Memory == nil {
+			t.Fatal("memory report missing although the memory model was enabled")
+		}
+		var mem bytes.Buffer
+		if _, err := rs.Memory.WriteTo(&mem); err != nil {
+			t.Fatal(err)
+		}
+		if n, want := bytes.Count(mem.Bytes(), []byte("\n")), 1+len(topo.Layers); n != want {
+			t.Errorf("memory CSV has %d lines, want header + %d layer rows:\n%s", n, len(topo.Layers), mem.String())
+		}
 	}
 }

@@ -6,25 +6,22 @@ import (
 )
 
 // Fidelity selects how accurately a run models time. The simulator contains
-// three tiers of the same answer — closed-form estimates, the event-driven
-// engines and the retained per-cycle reference loops — and Fidelity is the
-// one public switch between them, wired through every Run, Sweep and
-// Explore call by WithFidelity and read by the stages via
-// StageContext.Fidelity.
+// two tiers of the same answer — closed-form estimates and the event-driven
+// engines — and Fidelity is the one public switch between them, wired
+// through every Run, Sweep and Explore call by WithFidelity and read by the
+// stages via StageContext.Fidelity.
 //
 // The ladder, fastest first:
 //
-//	Analytical    — closed-form schedule math: exact compute cycles and
-//	                DRAM traffic, stall cycles as a proven lower bound on
-//	                the event-driven result. Microseconds per layer; the
-//	                screening tier for huge design spaces.
-//	EventDriven   — the default. Event-driven SRAM/DRAM replay that jumps
-//	                between controller events; cycle-for-cycle identical
-//	                to the reference loops.
-//	CycleAccurate — the per-cycle reference loops (previously the internal
-//	                sram.Options.ReferenceTickLoop / dram ReferenceTicks
-//	                switches): every cycle ticks individually. Slow;
-//	                retained as the differential-test oracle.
+//	Analytical  — closed-form schedule math: exact compute cycles and
+//	              DRAM traffic, stall cycles as a proven lower bound on
+//	              the event-driven result. Microseconds per layer; the
+//	              screening tier for huge design spaces.
+//	EventDriven — the default and the accurate tier. Event-driven
+//	              SRAM/DRAM replay that jumps between controller events;
+//	              the differential tests prove it cycle-for-cycle
+//	              identical to the per-cycle reference loops they keep
+//	              as the oracle.
 //
 // The zero value is EventDriven, so existing callers are unchanged.
 // Fidelity is part of the layer-cache fingerprint: results from different
@@ -36,62 +33,64 @@ const (
 	EventDriven Fidelity = iota
 	// Analytical is the closed-form screening tier.
 	Analytical
-	// CycleAccurate is the per-cycle reference tier.
-	CycleAccurate
 )
 
 // String returns the canonical name used in CSV/JSON reports, CLI flags,
-// DTO fields and metric labels: "event", "analytical" or "cycle".
+// DTO fields and metric labels: "event" or "analytical".
 func (f Fidelity) String() string {
-	switch f {
-	case Analytical:
+	if f == Analytical {
 		return "analytical"
-	case CycleAccurate:
-		return "cycle"
-	default:
-		return "event"
 	}
+	return "event"
 }
 
-// Valid reports whether f is one of the three declared tiers.
+// Valid reports whether f is one of the two declared tiers.
 func (f Fidelity) Valid() bool {
-	return f == EventDriven || f == Analytical || f == CycleAccurate
+	return f == EventDriven || f == Analytical
+}
+
+// validFidelities names the accepted tiers in every fidelity error.
+const validFidelities = "valid: analytical, event"
+
+// check returns an error naming the valid tiers unless f is one of them.
+func (f Fidelity) check() error {
+	if f.Valid() {
+		return nil
+	}
+	return fmt.Errorf("scalesim: invalid fidelity %d (%s)", int(f), validFidelities)
 }
 
 // ParseFidelity parses a fidelity name as accepted by the CLI and the job
-// server: "analytical", "event" (or "event-driven", or empty for the
-// default) and "cycle" (or "cycle-accurate"). The error names the valid
-// values so DTO validation can pass it through verbatim.
+// server: "analytical" (or "analytic") and "event" (or "event-driven", or
+// empty for the default). The error names the valid values so DTO
+// validation can pass it through verbatim.
 func ParseFidelity(s string) (Fidelity, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "event", "event-driven", "event_driven":
 		return EventDriven, nil
 	case "analytical", "analytic":
 		return Analytical, nil
-	case "cycle", "cycle-accurate", "cycle_accurate":
-		return CycleAccurate, nil
 	}
-	return EventDriven, fmt.Errorf("scalesim: unknown fidelity %q (valid: analytical, event, cycle)", s)
+	return EventDriven, fmt.Errorf("scalesim: unknown fidelity %q (%s)", s, validFidelities)
 }
 
 // StageFidelity is the optional interface a Stage implements to declare
 // its fidelity ladder, mirroring the StageFingerprinter pattern: the
 // returned tiers are the ones the stage distinguishes — for any Fidelity
-// requested by WithFidelity the stage behaves as the nearest declared tier
-// (built-in stages declare all three). A stage that does not implement it
-// is assumed fidelity-blind: it produces the same result at every tier,
-// which is sound because fidelity is part of the cache fingerprint either
-// way.
+// requested by WithFidelity the stage behaves as the nearest declared tier.
+// A stage that does not implement it is assumed fidelity-blind: it
+// produces the same result at every tier, which is sound because fidelity
+// is part of the cache fingerprint either way.
 type StageFidelity interface {
 	FidelityLadder() []Fidelity
 }
 
 // WithFidelity selects the simulation fidelity for a Run or Sweep
-// (default EventDriven). The tier reaches every stage through
-// StageContext.Fidelity; the built-in memory stage lowers to closed-form
-// traffic/stall bounds at Analytical and to the per-cycle reference loops
-// at CycleAccurate. Results from different tiers are cached under
-// different fingerprints and never substitute for one another.
+// (default EventDriven); Run rejects a value that is not a declared tier.
+// The tier reaches every stage through StageContext.Fidelity; the built-in
+// memory stage lowers to closed-form traffic/stall bounds at Analytical.
+// Results from different tiers are cached under different fingerprints
+// and never substitute for one another.
 func WithFidelity(f Fidelity) Option {
 	return func(o *options) { o.fidelity = f }
 }

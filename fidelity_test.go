@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalesim"
@@ -22,7 +23,6 @@ func TestFidelityStringAndValid(t *testing.T) {
 	}{
 		{scalesim.EventDriven, "event"},
 		{scalesim.Analytical, "analytical"},
-		{scalesim.CycleAccurate, "cycle"},
 	}
 	for _, c := range cases {
 		if got := c.f.String(); got != c.name {
@@ -37,8 +37,10 @@ func TestFidelityStringAndValid(t *testing.T) {
 			t.Errorf("ParseFidelity(%q) = %v, %v; want %v", c.name, back, err, c.f)
 		}
 	}
-	if scalesim.Fidelity(7).Valid() {
-		t.Error("Fidelity(7).Valid() = true")
+	for _, f := range []scalesim.Fidelity{2, 7, -1} {
+		if f.Valid() {
+			t.Errorf("Fidelity(%d).Valid() = true", f)
+		}
 	}
 	var zero scalesim.Fidelity
 	if zero != scalesim.EventDriven {
@@ -48,17 +50,14 @@ func TestFidelityStringAndValid(t *testing.T) {
 
 func TestParseFidelityAliasesAndErrors(t *testing.T) {
 	aliases := map[string]scalesim.Fidelity{
-		"":               scalesim.EventDriven,
-		"event":          scalesim.EventDriven,
-		"event-driven":   scalesim.EventDriven,
-		"event_driven":   scalesim.EventDriven,
-		"  Event  ":      scalesim.EventDriven,
-		"analytical":     scalesim.Analytical,
-		"analytic":       scalesim.Analytical,
-		"ANALYTICAL":     scalesim.Analytical,
-		"cycle":          scalesim.CycleAccurate,
-		"cycle-accurate": scalesim.CycleAccurate,
-		"cycle_accurate": scalesim.CycleAccurate,
+		"":             scalesim.EventDriven,
+		"event":        scalesim.EventDriven,
+		"event-driven": scalesim.EventDriven,
+		"event_driven": scalesim.EventDriven,
+		"  Event  ":    scalesim.EventDriven,
+		"analytical":   scalesim.Analytical,
+		"analytic":     scalesim.Analytical,
+		"ANALYTICAL":   scalesim.Analytical,
 	}
 	for in, want := range aliases {
 		got, err := scalesim.ParseFidelity(in)
@@ -66,21 +65,53 @@ func TestParseFidelityAliasesAndErrors(t *testing.T) {
 			t.Errorf("ParseFidelity(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"exact", "rtl", "analytical-ish", "0"} {
-		if _, err := scalesim.ParseFidelity(bad); err == nil {
+	// The removed per-cycle tier's names are unknown like any other.
+	for _, bad := range []string{"exact", "rtl", "analytical-ish", "0", "cycle", "cycle-accurate", "cycle_accurate"} {
+		_, err := scalesim.ParseFidelity(bad)
+		if err == nil {
 			t.Errorf("ParseFidelity(%q) succeeded, want error", bad)
+		} else if !strings.Contains(err.Error(), "analytical, event") {
+			t.Errorf("ParseFidelity(%q) error %q does not name the valid tiers", bad, err)
+		}
+	}
+}
+
+// TestRunRejectsUndeclaredFidelity: Run — and Sweep, which forwards
+// WithFidelity to every point — must refuse a Fidelity that is not a
+// declared tier instead of silently simulating at the event tier under a
+// cache key of its own. Fidelity(2) is the removed per-cycle tier's old
+// value.
+func TestRunRejectsUndeclaredFidelity(t *testing.T) {
+	ctx := context.Background()
+	cfg := memoryConfig()
+	topo := exploreTopology()
+	for _, fid := range []scalesim.Fidelity{2, 7} {
+		if _, err := scalesim.New(cfg).Run(ctx, topo, scalesim.WithFidelity(fid)); err == nil {
+			t.Errorf("Run accepted Fidelity(%d)", fid)
+		} else if !strings.Contains(err.Error(), "analytical, event") {
+			t.Errorf("Run error %q does not name the valid tiers", err)
+		}
+		pts := []scalesim.SweepPoint{{Name: "a", Config: cfg, Topology: topo}, {Name: "b", Config: cfg, Topology: topo}}
+		out, err := scalesim.Sweep(ctx, pts, scalesim.WithFidelity(fid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sr := range out {
+			if sr.Err == nil || sr.Result != nil {
+				t.Errorf("Sweep point %s at Fidelity(%d): result %v, err %v; want an error", sr.Point.Name, fid, sr.Result, sr.Err)
+			}
 		}
 	}
 }
 
 // TestStageFidelityLadders pins the ladder each built-in stage declares:
-// the memory pass distinguishes all three tiers, layout replay exists at
-// the event tiers only, and the closed-form passes are purely analytical.
+// the memory pass distinguishes both tiers, layout replay exists at the
+// event tier only, and the closed-form passes are purely analytical.
 func TestStageFidelityLadders(t *testing.T) {
 	want := map[string][]scalesim.Fidelity{
 		"compute": {scalesim.Analytical},
-		"layout":  {scalesim.EventDriven, scalesim.CycleAccurate},
-		"memory":  {scalesim.Analytical, scalesim.EventDriven, scalesim.CycleAccurate},
+		"layout":  {scalesim.EventDriven},
+		"memory":  {scalesim.Analytical, scalesim.EventDriven},
 		"energy":  {scalesim.Analytical},
 	}
 	stages := map[string]scalesim.Stage{
@@ -121,7 +152,7 @@ func TestCacheFidelitySeparation(t *testing.T) {
 	ctx := context.Background()
 	cache := scalesim.NewCache(0, 0)
 
-	tiers := []scalesim.Fidelity{scalesim.Analytical, scalesim.EventDriven, scalesim.CycleAccurate}
+	tiers := []scalesim.Fidelity{scalesim.Analytical, scalesim.EventDriven}
 	for _, fid := range tiers {
 		cold, err := scalesim.New(cfg).Run(ctx, topo, scalesim.WithCache(cache), scalesim.WithFidelity(fid))
 		if err != nil {
@@ -144,8 +175,9 @@ func TestCacheFidelitySeparation(t *testing.T) {
 // TestDifferentialFidelityTiers is the facade-level tier differential:
 // for memory-enabled runs, Analytical must agree with EventDriven on
 // everything that is a property of the schedule (compute cycles, DRAM
-// words) and lower-bound the cycle counts; CycleAccurate (the reference
-// loops) must be cycle-for-cycle identical to EventDriven.
+// words) and lower-bound the cycle counts. The event tier's own exactness
+// against the per-cycle reference loops is proven in internal/sram and
+// internal/dram.
 func TestDifferentialFidelityTiers(t *testing.T) {
 	cfg := memoryConfig()
 	ctx := context.Background()
@@ -165,11 +197,7 @@ func TestDifferentialFidelityTiers(t *testing.T) {
 				}
 				return r
 			}
-			ana, evt, cyc := run(scalesim.Analytical), run(scalesim.EventDriven), run(scalesim.CycleAccurate)
-
-			if !reflect.DeepEqual(evt.Layers, cyc.Layers) {
-				t.Error("CycleAccurate diverges from EventDriven — reference loop broke")
-			}
+			ana, evt := run(scalesim.Analytical), run(scalesim.EventDriven)
 			for i := range evt.Layers {
 				a, e := &ana.Layers[i], &evt.Layers[i]
 				name := a.Layer.Name

@@ -72,11 +72,10 @@ type Options struct {
 	Trace *telemetry.Span
 	// ReferenceTicks makes AdvanceTo, RunUntilDrained and SimulateTrace
 	// advance the clock one Tick per cycle instead of jumping between
-	// events. The two modes are cycle-for-cycle identical; the reference
-	// loop is retained as the oracle for the event engine's differential
-	// tests. No longer a public backdoor: callers select tiers with
-	// scalesim.WithFidelity, which reaches this flag only through the
-	// CycleAccurate tier.
+	// events. Test oracle only: the two modes are cycle-for-cycle
+	// identical, and the per-cycle loop is what the event engine's
+	// differential tests and fuzz targets (here and in internal/sram)
+	// compare against. No production caller sets it.
 	ReferenceTicks bool
 }
 

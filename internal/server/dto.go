@@ -416,8 +416,8 @@ type RunRequest struct {
 	Config      json.RawMessage `json:"config,omitempty"`
 	Topology    TopologyDTO     `json:"topology"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity selects the simulation tier: "analytical", "event"
-	// (default) or "cycle".
+	// Fidelity selects the simulation tier: "analytical" or "event"
+	// (default).
 	Fidelity string  `json:"fidelity,omitempty"`
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
@@ -434,8 +434,8 @@ type SweepPointDTO struct {
 type SweepRequest struct {
 	Points      []SweepPointDTO `json:"points"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity selects the simulation tier for every point: "analytical",
-	// "event" (default) or "cycle".
+	// Fidelity selects the simulation tier for every point: "analytical"
+	// or "event" (default).
 	Fidelity string  `json:"fidelity,omitempty"`
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
@@ -453,9 +453,9 @@ type ExploreRequest struct {
 	Seed        int64           `json:"seed,omitempty"`
 	Batch       int             `json:"batch,omitempty"`
 	Parallelism int             `json:"parallelism,omitempty"`
-	// Fidelity is the accurate simulation tier ("analytical", "event" —
-	// the default — or "cycle"); with screening enabled it is the tier
-	// promoted candidates reach.
+	// Fidelity is the accurate simulation tier ("analytical" or "event",
+	// the default); with screening enabled it is the tier promoted
+	// candidates reach.
 	Fidelity string `json:"fidelity,omitempty"`
 	// PromoteTopK > 0 or PromoteMargin > 0 enables two-phase
 	// screen-and-promote: the budget is screened analytically, then the
@@ -530,7 +530,7 @@ type CacheStatsDTO struct {
 // sweep points for sweep jobs and candidate evaluations for explore jobs.
 // For a screened exploration, Done/Total track the current phase and
 // EvalsByFidelity accumulates the per-tier evaluation counts ("analytical",
-// "event", "cycle") across phases.
+// "event") across phases.
 type ProgressDTO struct {
 	Done            int            `json:"done"`
 	Total           int            `json:"total"`

@@ -214,7 +214,7 @@ func (j *Job) countEval(fidelity string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.progress.EvalsByFidelity == nil {
-		j.progress.EvalsByFidelity = make(map[string]int, 3)
+		j.progress.EvalsByFidelity = make(map[string]int, 2)
 	}
 	j.progress.EvalsByFidelity[fidelity]++
 }

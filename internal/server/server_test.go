@@ -304,6 +304,11 @@ func TestServerRequestErrors(t *testing.T) {
 		{"bad axis", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "warp=1..4"}`, "warp"},
 		{"bad objective", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "objectives": "happiness"}`, "happiness"},
 		{"bad strategy", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "strategy": "gird"}`, `"gird"`},
+		// The removed per-cycle tier is an unknown fidelity on every
+		// endpoint, and the error names the field and the valid tiers.
+		{"run fidelity cycle", "/v1/runs", `{"topology": {"builtin": "alexnet"}, "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
+		{"sweep fidelity cycle", "/v1/sweeps", `{"points": [{"topology": {"builtin": "alexnet"}}], "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
+		{"explore fidelity cycle", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

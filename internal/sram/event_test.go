@@ -24,13 +24,13 @@ func runBoth(t *testing.T, df config.Dataflow, r, c int, g systolic.Gemm,
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := dram.New(tech, dopts)
+		d := dopts
+		d.ReferenceTicks = reference
+		sys, err := dram.New(tech, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := opts
-		o.ReferenceTickLoop = reference
-		res, err := Simulate(context.Background(), sched, sys, o)
+		res, err := Simulate(context.Background(), sched, sys, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,13 +27,6 @@ type Options struct {
 	// CollectTrace records every DRAM transaction (arrival cycle,
 	// address, type, round-trip) into Result.Trace.
 	CollectTrace bool
-	// ReferenceTickLoop advances the replay — and the attached DRAM
-	// system — one cycle per iteration instead of jumping between
-	// events. Slow; retained as the oracle the event engine's
-	// differential tests compare against. No longer a public backdoor:
-	// callers select tiers with scalesim.WithFidelity, and the memory
-	// stage sets this flag only for CycleAccurate runs.
-	ReferenceTickLoop bool
 	// Trace is the parent telemetry span (typically the memory stage's);
 	// the replay opens "sram.stream" and "sram.drain" phase spans under
 	// it. Nil — the default — records nothing at zero cost.
@@ -82,7 +75,8 @@ type Result struct {
 	// the memory clock.
 	ThroughputMBps float64
 	// SkippedCycles counts the dead cycles the event engine jumped over
-	// instead of ticking one by one (zero under ReferenceTickLoop).
+	// instead of ticking one by one (zero when the DRAM system runs with
+	// dram.Options.ReferenceTicks).
 	// Purely diagnostic: it does not affect any simulated statistic.
 	SkippedCycles int64
 	// Trace holds every transaction when Options.CollectTrace was set,
@@ -109,8 +103,9 @@ func (r *Result) StallFraction() float64 {
 // straight to the next cycle anything can change (the DRAM controller's
 // event horizon, the return of the last line the array waits for, or the
 // end of the drain) instead of ticking through the dead cycles.
-// Options.ReferenceTickLoop restores the per-cycle loop; both modes produce
-// identical Results.
+// A DRAM system built with dram.Options.ReferenceTicks (a test oracle)
+// turns the jumps into per-cycle ticks; both modes produce identical
+// Results.
 //
 // ctx is checked before the first request and at every fold boundary; a
 // cancelled or expired context ends the replay with ctx.Err().
@@ -119,13 +114,6 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		return nil, err
 	}
 	opts.defaults()
-	if opts.ReferenceTickLoop {
-		// The oracle must be fully per-cycle: the DRAM system ticks cycle
-		// by cycle too, exactly the pre-event-engine simulator. Restore
-		// the caller's mode on return — the System outlives this call.
-		defer func(prev bool) { sys.Opts.ReferenceTicks = prev }(sys.Opts.ReferenceTicks)
-		sys.Opts.ReferenceTicks = true
-	}
 	skippedBase := sys.SkippedCycles()
 	// The staging window must cover at least one consume batch plus one
 	// in-flight line, or the producer/consumer pair livelocks.
@@ -269,7 +257,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 	pacedWrites := sched.Dataflow != config.OutputStationary
 
 	engine := "event"
-	if opts.ReferenceTickLoop {
+	if sys.Opts.ReferenceTicks {
 		engine = "reference"
 	}
 	stream := opts.Trace.Child("sram.stream", "phase")

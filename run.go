@@ -42,6 +42,9 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 	for _, opt := range opts {
 		opt(&o)
 	}
+	if err := o.fidelity.check(); err != nil {
+		return nil, err
+	}
 	if err := o.resolveStore(); err != nil {
 		return nil, err
 	}

@@ -156,7 +156,9 @@ func TestRunLayout(t *testing.T) {
 	}
 }
 
-func TestWriteReports(t *testing.T) {
+// TestReports checks the compute and energy reports of an energy-enabled
+// run: compute rows carry the layer names, the energy report its header.
+func TestReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Energy.Enabled = true
 	topo, err := BuiltinTopology("alexnet")
@@ -167,8 +169,15 @@ func TestWriteReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var comp, bw, mem, sp, en bytes.Buffer
-	if err := WriteReports(res, &comp, &bw, &mem, &sp, &en); err != nil {
+	rs := res.Reports()
+	if rs.Energy == nil {
+		t.Fatal("energy report missing although energy modeling was enabled")
+	}
+	var comp, en bytes.Buffer
+	if _, err := rs.Compute.WriteTo(&comp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Energy.WriteTo(&en); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(comp.String(), "Conv1") {
