@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"scalesim"
@@ -562,6 +563,10 @@ func BenchmarkExploreCached(b *testing.B) {
 // Analytical evaluations and only the top candidates are promoted to the
 // event-driven tier. This is the workload the fidelity ladder exists for
 // — the single-tier equivalent would be ~6 000× more event simulations.
+//
+// It reports the whole search's heap allocations and bytes per screened
+// candidate, and fails above the bound TestExploreScreenAllocsPerCandidate
+// holds the marginal cost to.
 func BenchmarkExploreScreened(b *testing.B) {
 	topo := &scalesim.Topology{Name: "screen_gemm", Layers: []scalesim.Layer{
 		{Name: "fc1", Kind: scalesim.GEMM, M: 128, N: 128, K: 256},
@@ -578,6 +583,8 @@ func BenchmarkExploreScreened(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		f, err := scalesim.Explore(ctx, cfg, topo, space,
 			scalesim.WithExploreObjectives(scalesim.CyclesObjective(), scalesim.UtilizationObjective()),
 			scalesim.WithExploreStrategy(scalesim.GridSearch),
@@ -585,6 +592,7 @@ func BenchmarkExploreScreened(b *testing.B) {
 			scalesim.WithExploreBatchSize(8192),
 			scalesim.WithPromoteTopK(16),
 		)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,8 +602,16 @@ func BenchmarkExploreScreened(b *testing.B) {
 		if f.Promoted == 0 || len(f.Points) == 0 {
 			b.Fatalf("screening promoted %d candidates, frontier %d", f.Promoted, len(f.Points))
 		}
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(f.Screened)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(f.Screened)
+		if !raceEnabled && (allocs > maxScreenAllocsPerCandidate || bytes > maxScreenBytesPerCandidate) {
+			b.Fatalf("screening costs %.2f allocs and %.0f B per candidate, want at most %d and %d",
+				allocs, bytes, maxScreenAllocsPerCandidate, maxScreenBytesPerCandidate)
+		}
 		b.ReportMetric(float64(f.Screened), "screened")
 		b.ReportMetric(float64(f.Promoted), "promoted")
+		b.ReportMetric(allocs, "allocs/candidate")
+		b.ReportMetric(bytes, "B/candidate")
 	}
 }
 

@@ -8,8 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"scalesim/internal/explore"
 	"scalesim/internal/report"
@@ -17,8 +20,8 @@ import (
 
 // Design-space exploration: declare a parameter Space over Config knobs,
 // one or more Objectives over run results, and a search strategy; Explore
-// funnels candidates through Sweep batches sharing one layer-result cache
-// and returns the exact multi-objective Pareto frontier.
+// evaluates candidates in batches and returns the exact multi-objective
+// Pareto frontier.
 //
 //	space, _ := scalesim.ParseSpace("array=16..128:pow2; dataflow=os,ws,is")
 //	frontier, err := scalesim.Explore(ctx, scalesim.DefaultConfig(), topo, space,
@@ -28,9 +31,11 @@ import (
 //
 // Million-point spaces are cracked with the two-phase screen-and-promote
 // loop: WithPromoteTopK / WithPromoteMargin first evaluate the whole space
-// at the Analytical fidelity tier (closed forms, microseconds per point),
-// then promote only the frontier-adjacent candidates to the accurate tier
-// and measure the analytical-vs-accurate error of each promoted point.
+// at the Analytical fidelity tier (closed forms, about a microsecond per
+// point, run into per-worker storage that is reused from one candidate to
+// the next), then promote only the frontier-adjacent candidates to the
+// accurate tier through Sweep batches sharing one layer-result cache, and
+// measure the analytical-vs-accurate error of each promoted point.
 //
 // Exploration is deterministic: a fixed seed yields a byte-identical
 // frontier at any parallelism.
@@ -87,7 +92,9 @@ type Objective struct {
 	Name string
 	// Maximize flips the sense for dominance comparisons.
 	Maximize bool
-	// Fn extracts the metric from a finished run.
+	// Fn extracts the metric from a finished run. The *Result is valid
+	// only during the call: the Analytical screen reuses one Result per
+	// worker for every candidate it evaluates, so Fn must not keep it.
 	Fn func(*Result) float64
 }
 
@@ -229,8 +236,8 @@ func WithExploreBudget(n int) ExploreOption {
 	}
 }
 
-// WithExploreBatchSize sets how many candidates are evaluated per Sweep
-// batch — the generation size of adaptive strategies (default 8).
+// WithExploreBatchSize sets how many candidates are evaluated per batch —
+// the generation size of adaptive strategies (default 8).
 func WithExploreBatchSize(n int) ExploreOption {
 	return func(o *exploreOptions) {
 		if n > 0 {
@@ -455,7 +462,8 @@ func (f *Frontier) WriteAll(dir string) error {
 	return nil
 }
 
-// evaluation records one feasible candidate's outcome during a search.
+// evaluation records one feasible candidate evaluated at the accurate
+// tier: everything its frontier point reports.
 type evaluation struct {
 	label     string
 	cand      Candidate // copy of the candidate, for promotion re-apply
@@ -466,6 +474,16 @@ type evaluation struct {
 	result    *Result
 	fidelity  Fidelity
 	screenErr map[string]float64 // analytical-vs-accurate error, promoted points only
+}
+
+// screenRecord is one feasible candidate of the Analytical screen: only
+// what promotion and its top-K tie-break read. cand and keys point into
+// the screen's flat arenas; promotion re-materializes the configuration
+// and the axis values of the candidates it promotes.
+type screenRecord struct {
+	cand  Candidate
+	label string
+	keys  []float64
 }
 
 // explorer bundles the state shared by the search and promotion phases.
@@ -480,10 +498,34 @@ type explorer struct {
 
 // searchOutcome is the accounting of one strategy-driven search phase.
 type searchOutcome struct {
-	evals      []evaluation
 	evaluated  int // candidates asked of the strategy, including infeasible
 	infeasible int
 	gens       int
+}
+
+// genBatch is one generation of candidates handed to an evaluator.
+type genBatch struct {
+	gen    int
+	budget int
+	fid    Fidelity
+	// done counts the phase's finished candidates before the evaluator
+	// runs: earlier batches plus this batch's workload-axis failures.
+	done   int
+	cands  []Candidate
+	labels []string
+	// topos holds each candidate's workload, nil where a workload axis
+	// failed (the candidate is infeasible and already reported).
+	topos []*Topology
+	// keys receives each feasible candidate's minimization-sense keys;
+	// entries left nil are infeasible.
+	keys [][]float64
+}
+
+// progress reports one finished candidate of the batch; evaluated is its
+// position among the phase's finished candidates.
+func (b *genBatch) progress(o *exploreOptions, evaluated int, point string, err error) {
+	o.progress(ExploreProgress{Generation: b.gen, Evaluated: evaluated,
+		Budget: b.budget, Point: point, Fidelity: b.fid, Err: err})
 }
 
 // Explore searches the design space spanned by space around the base
@@ -502,11 +544,11 @@ type searchOutcome struct {
 //
 // With WithPromoteTopK or WithPromoteMargin the search runs in two phases:
 // the strategy first spends the whole budget at the Analytical tier
-// (closed forms, no replay), then the analytical Pareto front plus the
-// top-K and margin-qualified candidates are promoted to the accurate tier
-// (WithExploreFidelity) and the frontier is computed from the accurate
-// results alone, each promoted point carrying its measured
-// analytical-vs-accurate error.
+// (closed forms, no replay, each worker reusing one Result), then the
+// analytical Pareto front plus the top-K and margin-qualified candidates
+// are promoted to the accurate tier (WithExploreFidelity) and the frontier
+// is computed from the accurate results alone, each promoted point
+// carrying its measured analytical-vs-accurate error.
 func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts ...ExploreOption) (*Frontier, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -567,10 +609,11 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 
 	if o.promoteTopK == 0 && o.promoteMargin == 0 {
 		// Single-tier search: every evaluation at the accurate fidelity.
-		out, err := e.search(ctx, strat, cache, o.fidelity, o.budget)
+		sw := &sweepEval{e: e, cache: cache}
+		out, err := e.search(ctx, strat, o.fidelity, o.budget, sw.evalBatch)
 		f.Evaluated += out.evaluated
 		f.Infeasible += out.infeasible
-		finishFrontier(f, out.evals)
+		finishFrontier(f, sw.evals)
 		return f, err
 	}
 
@@ -578,7 +621,8 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 	// skipped — distinct candidates never share whole-layer fingerprints,
 	// and at microseconds per closed-form evaluation the key hashing would
 	// dominate the work.
-	out, err := e.search(ctx, strat, nil, Analytical, o.budget)
+	sc := newScreener(e)
+	out, err := e.search(ctx, strat, Analytical, o.budget, sc.evalBatch)
 	f.Screened = out.evaluated
 	f.Infeasible += out.infeasible
 	if err != nil {
@@ -587,124 +631,261 @@ func Explore(ctx context.Context, base Config, topo *Topology, space Space, opts
 		return f, err
 	}
 	// Phase 2: promote the frontier-adjacent candidates.
-	accurate, err := e.promote(ctx, cache, out.evals, out.gens)
+	accurate, err := e.promote(ctx, cache, sc.recs, out.gens)
 	finishFrontier(f, accurate)
 	return f, err
 }
 
-// search runs the strategy ask/tell loop, evaluating batches at fidelity
-// fid via Sweep, until budget evaluations are spent or the space is
-// exhausted. Cache may be nil (uncached). Cache statistics accumulate into
-// the frontier; evaluation/infeasibility counts are returned for the
-// caller to attribute to the right phase.
-func (e *explorer) search(ctx context.Context, strat Searcher, cache *Cache, fid Fidelity, budget int) (searchOutcome, error) {
-	o, f := e.o, e.f
+// search runs the strategy ask/tell loop until budget candidates are spent
+// or the space is exhausted. It labels each generation and materializes
+// its workloads (a workload-axis failure is infeasible without simulating),
+// then lets eval evaluate the rest at fidelity fid. A batch is counted and
+// told to the strategy only once it completes; on error (cancellation) it
+// is discarded, and eval must keep nothing from it, so the partial
+// frontier stays deterministic.
+func (e *explorer) search(ctx context.Context, strat Searcher, fid Fidelity, budget int, eval func(context.Context, *genBatch) error) (searchOutcome, error) {
+	o := e.o
 	var out searchOutcome
+	b := &genBatch{budget: budget, fid: fid}
 	for gen := 1; out.evaluated < budget; gen++ {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
 		out.gens = gen
-		n := budget - out.evaluated
-		if n > o.batch {
-			n = o.batch
-		}
-		cands := strat.Ask(n)
+		cands := strat.Ask(min(budget-out.evaluated, o.batch))
 		if len(cands) == 0 {
 			break // space exhausted
 		}
-		batchBase := out.evaluated
-		keys := make([][]float64, len(cands))
-
-		// Materialize candidates; workload-axis failures are infeasible
-		// without simulating.
-		pts := make([]SweepPoint, 0, len(cands))
-		ptCand := make([]int, 0, len(cands)) // sweep point -> candidate index
-		labels := make([]string, len(cands))
-		cfgs := make([]Config, len(cands))
-		preFailed := 0
+		n := len(cands)
+		b.gen, b.done, b.cands = gen, out.evaluated, cands
+		b.labels = slices.Grow(b.labels[:0], n)[:n]
+		b.topos = slices.Grow(b.topos[:0], n)[:n]
+		b.keys = make([][]float64, n) // the strategy may keep it
 		for i, c := range cands {
-			labels[i] = e.space.Label(c)
-			cfgs[i] = e.space.Apply(e.base, c)
-			cfgs[i].RunName = labels[i]
+			b.labels[i] = e.space.Label(c)
 			pt, err := e.space.ApplyTopology(e.topo, c)
+			b.topos[i] = pt
 			if err != nil {
-				keys[i] = e.infKeys
-				out.infeasible++
-				preFailed++
+				b.done++
 				if o.progress != nil {
-					o.progress(ExploreProgress{Generation: gen, Evaluated: batchBase + preFailed,
-						Budget: budget, Point: labels[i], Fidelity: fid, Err: err})
+					b.progress(o, b.done, b.labels[i], err)
 				}
-				continue
 			}
-			pts = append(pts, SweepPoint{Name: labels[i], Config: cfgs[i], Topology: pt})
-			ptCand = append(ptCand, i)
 		}
-
-		sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(cache), WithFidelity(fid)}
-		if o.traceOn {
-			sweepOpts = append(sweepOpts, WithTrace(o.traceDir))
-		}
-		if o.progress != nil {
-			evalBase, fn, g := batchBase+preFailed, o.progress, gen
-			sweepOpts = append(sweepOpts, WithSweepProgress(func(p SweepPointProgress) {
-				fn(ExploreProgress{Generation: g, Evaluated: evalBase + p.Done,
-					Budget: budget, Point: p.Point, Fidelity: fid, Err: p.Err})
-			}))
-		}
-		results, err := Sweep(ctx, pts, sweepOpts...)
-		if err != nil {
-			// Cancelled mid-batch: the batch is discarded so the partial
-			// frontier stays deterministic.
+		if err := eval(ctx, b); err != nil {
 			return out, err
 		}
-		for pi, sr := range results {
-			ci := ptCand[pi]
-			if sr.Err != nil {
-				keys[ci] = e.infKeys
+		for i, k := range b.keys {
+			if k == nil {
+				b.keys[i] = e.infKeys
 				out.infeasible++
-				continue
 			}
-			f.CacheStats.Hits += sr.Result.CacheStats.Hits
-			f.CacheStats.Misses += sr.Result.CacheStats.Misses
-			raw, k, feasible := e.score(sr.Result)
-			if !feasible {
-				keys[ci] = e.infKeys
-				out.infeasible++
-				continue
-			}
-			keys[ci] = k
-			out.evals = append(out.evals, evaluation{
-				label: sr.Point.Name, cand: append(Candidate(nil), cands[ci]...),
-				cfg: cfgs[ci], values: e.space.Values(cands[ci]),
-				raw: raw, keys: k, result: sr.Result, fidelity: fid,
-			})
 		}
-		strat.Tell(cands, keys)
-		out.evaluated += len(cands)
+		strat.Tell(cands, b.keys)
+		out.evaluated += n
 	}
 	return out, nil
 }
 
-// score extracts the raw objective values and minimization-sense keys from
-// a result; feasible is false when any objective is NaN.
-func (e *explorer) score(r *Result) (raw, keys []float64, feasible bool) {
-	objs := e.o.objectives
-	raw = make([]float64, len(objs))
-	keys = make([]float64, len(objs))
-	for oi, obj := range objs {
+// sweepEval evaluates batches through one Sweep each and keeps every
+// feasible result: the single-tier search, whose results become frontier
+// points.
+type sweepEval struct {
+	e     *explorer
+	cache *Cache
+	evals []evaluation
+}
+
+func (s *sweepEval) evalBatch(ctx context.Context, b *genBatch) error {
+	e, o, f := s.e, s.e.o, s.e.f
+	pts := make([]SweepPoint, 0, len(b.cands))
+	ptCand := make([]int, 0, len(b.cands)) // sweep point -> candidate index
+	for i, c := range b.cands {
+		if b.topos[i] == nil {
+			continue
+		}
+		cfg := e.space.Apply(e.base, c)
+		cfg.RunName = b.labels[i]
+		pts = append(pts, SweepPoint{Name: b.labels[i], Config: cfg, Topology: b.topos[i]})
+		ptCand = append(ptCand, i)
+	}
+	sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(s.cache), WithFidelity(b.fid)}
+	if o.traceOn {
+		sweepOpts = append(sweepOpts, WithTrace(o.traceDir))
+	}
+	if o.progress != nil {
+		sweepOpts = append(sweepOpts, WithSweepProgress(func(p SweepPointProgress) {
+			b.progress(o, b.done+p.Done, p.Point, p.Err)
+		}))
+	}
+	results, err := Sweep(ctx, pts, sweepOpts...)
+	if err != nil {
+		return err
+	}
+	for pi, sr := range results {
+		if sr.Err != nil {
+			continue
+		}
+		f.CacheStats.Hits += sr.Result.CacheStats.Hits
+		f.CacheStats.Misses += sr.Result.CacheStats.Misses
+		keys := make([]float64, len(o.objectives))
+		if !e.score(sr.Result, keys) {
+			continue
+		}
+		ci := ptCand[pi]
+		b.keys[ci] = keys
+		s.evals = append(s.evals, evaluation{
+			label: sr.Point.Name, cand: append(Candidate(nil), b.cands[ci]...),
+			cfg: sr.Point.Config, values: e.space.Values(b.cands[ci]),
+			raw: e.raw(keys), keys: keys, result: sr.Result, fidelity: b.fid,
+		})
+	}
+	return nil
+}
+
+// screener evaluates the Analytical screen without building a Sweep, a
+// Simulator or a Result per candidate. Each worker runs candidates through
+// the one run path into storage it reuses, and feasible candidates keep a
+// screenRecord whose candidate and keys live in flat arenas sized to the
+// budget, so steady-state screening allocates little more than each
+// candidate's label.
+type screener struct {
+	e       *explorer
+	workers []screenWorker
+	cands   []int     // candidate arena: len(space) settings per record
+	keys    []float64 // key arena: len(objectives) keys per candidate
+	recs    []screenRecord
+	mu      sync.Mutex // serializes progress callbacks
+}
+
+// screenWorker is one worker's reused storage.
+type screenWorker struct {
+	o   options
+	cfg Config
+	res Result
+	sc  StageContext
+}
+
+// screenPresize caps how many records the screen's arenas reserve up
+// front, so a huge budget cannot claim its memory before the search has
+// found that many candidates; past it the arenas grow as needed.
+const screenPresize = 1 << 17
+
+func newScreener(e *explorer) *screener {
+	o := e.o
+	hint := min(o.budget, screenPresize)
+	if size := e.space.Size(); size < int64(hint) {
+		hint = int(size)
+	}
+	workers := o.parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s := &screener{
+		e:       e,
+		workers: make([]screenWorker, min(workers, o.batch)),
+		cands:   make([]int, 0, hint*len(e.space)),
+		keys:    make([]float64, 0, hint*len(o.objectives)),
+		recs:    make([]screenRecord, 0, hint),
+	}
+	for i := range s.workers {
+		wo := defaultOptions()
+		wo.parallelism = 1
+		wo.fidelity = Analytical
+		wo.traceEnabled, wo.traceDir = o.traceOn, o.traceDir
+		s.workers[i].o = wo
+	}
+	return s
+}
+
+func (s *screener) evalBatch(ctx context.Context, b *genBatch) error {
+	e, o := s.e, s.e.o
+	nobj := len(o.objectives)
+	slab := carve(&s.keys, len(b.cands)*nobj)
+	evaluated := b.done
+	forEachIndex(ctx, len(b.cands), len(s.workers), func(w, i int) {
+		if b.topos[i] == nil {
+			return
+		}
+		keys := slab[i*nobj : (i+1)*nobj : (i+1)*nobj]
+		ok, err := s.workers[w].eval(ctx, e, b.cands[i], b.labels[i], b.topos[i], keys)
+		if ok {
+			b.keys[i] = keys
+		}
+		if o.progress != nil {
+			s.mu.Lock()
+			evaluated++
+			b.progress(o, evaluated, b.labels[i], err)
+			s.mu.Unlock()
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	d := len(e.space)
+	for i, keys := range b.keys {
+		if keys == nil {
+			continue
+		}
+		s.cands = append(s.cands, b.cands[i]...)
+		n := len(s.cands)
+		s.recs = append(s.recs, screenRecord{cand: s.cands[n-d : n : n], label: b.labels[i], keys: keys})
+	}
+	return nil
+}
+
+// eval runs one candidate at the Analytical tier into the worker's
+// storage and writes its minimization-sense keys. ok is false when the
+// candidate is infeasible; err is its run error, if any.
+func (w *screenWorker) eval(ctx context.Context, e *explorer, c Candidate, label string, topo *Topology, keys []float64) (ok bool, err error) {
+	w.cfg = e.base
+	e.space.ApplyTo(&w.cfg, c)
+	w.cfg.RunName = label
+	if err := run(ctx, &w.cfg, &w.o, topo, &w.res, &w.sc); err != nil {
+		return false, err
+	}
+	return e.score(&w.res, keys), nil
+}
+
+// carve returns the next n elements of the arena, starting a new backing
+// array when it is full. Earlier carves keep their storage, so slices
+// handed out stay valid.
+func carve(arena *[]float64, n int) []float64 {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]float64, 0, max(n, cap(a)))
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+// score writes the minimization-sense objective keys of a result into
+// keys; it returns false when any objective is NaN (infeasible).
+func (e *explorer) score(r *Result, keys []float64) bool {
+	for oi, obj := range e.o.objectives {
 		v := obj.Fn(r)
-		raw[oi] = v
 		if math.IsNaN(v) {
-			return raw, keys, false
+			return false
 		}
 		if obj.Maximize {
 			v = -v
 		}
 		keys[oi] = v
 	}
-	return raw, keys, true
+	return true
+}
+
+// raw turns minimization-sense keys back into objective values as
+// reported. Negation is exact, so the round trip is too.
+func (e *explorer) raw(keys []float64) []float64 {
+	out := make([]float64, len(keys))
+	for oi, obj := range e.o.objectives {
+		out[oi] = keys[oi]
+		if obj.Maximize {
+			out[oi] = -keys[oi]
+		}
+	}
+	return out
 }
 
 // promote selects the frontier-adjacent subset of the analytical screen —
@@ -713,7 +894,7 @@ func (e *explorer) score(r *Result) (raw, keys []float64, feasible bool) {
 // front — and re-evaluates it at the accurate tier through one cached
 // Sweep. Each returned evaluation carries the measured per-objective
 // analytical-vs-accurate relative error.
-func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluation, screenGens int) ([]evaluation, error) {
+func (e *explorer) promote(ctx context.Context, cache *Cache, screened []screenRecord, screenGens int) ([]evaluation, error) {
 	o, f := e.o, e.f
 	if len(screened) == 0 {
 		return nil, nil
@@ -735,7 +916,8 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 			rank[i] = i
 		}
 		sort.SliceStable(rank, func(a, b int) bool {
-			return lessEval(&screened[rank[a]], &screened[rank[b]])
+			ra, rb := &screened[rank[a]], &screened[rank[b]]
+			return lessKeys(ra.keys, ra.label, rb.keys, rb.label)
 		})
 		if k > len(rank) {
 			k = len(rank)
@@ -786,17 +968,18 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 			// here means the topology axis is nondeterministic.
 			return nil, fmt.Errorf("scalesim: promotion re-apply of %q failed: %w", sc.label, err)
 		}
-		pts[pi] = SweepPoint{Name: sc.label, Config: sc.cfg, Topology: pt}
+		cfg := e.space.Apply(e.base, sc.cand)
+		cfg.RunName = sc.label
+		pts[pi] = SweepPoint{Name: sc.label, Config: cfg, Topology: pt}
 	}
 	sweepOpts := []Option{WithParallelism(o.parallelism), WithCache(cache), WithFidelity(o.fidelity)}
 	if o.traceOn {
 		sweepOpts = append(sweepOpts, WithTrace(o.traceDir))
 	}
 	if o.progress != nil {
-		fn, g, total := o.progress, screenGens+1, len(pts)
+		b := &genBatch{gen: screenGens + 1, budget: len(pts), fid: o.fidelity}
 		sweepOpts = append(sweepOpts, WithSweepProgress(func(p SweepPointProgress) {
-			fn(ExploreProgress{Generation: g, Evaluated: p.Done,
-				Budget: total, Point: p.Point, Fidelity: o.fidelity, Err: p.Err})
+			b.progress(o, p.Done, p.Point, p.Err)
 		}))
 	}
 	results, err := Sweep(ctx, pts, sweepOpts...)
@@ -813,18 +996,19 @@ func (e *explorer) promote(ctx context.Context, cache *Cache, screened []evaluat
 		}
 		f.CacheStats.Hits += sr.Result.CacheStats.Hits
 		f.CacheStats.Misses += sr.Result.CacheStats.Misses
-		raw, k, feasible := e.score(sr.Result)
-		if !feasible {
+		keys := make([]float64, len(o.objectives))
+		if !e.score(sr.Result, keys) {
 			f.Infeasible++
 			continue
 		}
+		raw, screenRaw := e.raw(keys), e.raw(sc.keys)
 		screenErr := make(map[string]float64, len(o.objectives))
 		for oi, obj := range o.objectives {
-			screenErr[obj.Name] = relError(raw[oi], sc.raw[oi])
+			screenErr[obj.Name] = relError(raw[oi], screenRaw[oi])
 		}
 		evals = append(evals, evaluation{
-			label: sc.label, cand: sc.cand, cfg: sc.cfg, values: sc.values,
-			raw: raw, keys: k, result: sr.Result,
+			label: sc.label, cand: sc.cand, cfg: sr.Point.Config, values: e.space.Values(sc.cand),
+			raw: raw, keys: keys, result: sr.Result,
 			fidelity: o.fidelity, screenErr: screenErr,
 		})
 	}
@@ -845,15 +1029,15 @@ func relError(accurate, analytical float64) float64 {
 	return math.Abs(accurate-analytical) / denom
 }
 
-// lessEval orders evaluations by minimization-sense keys, ties by label —
+// lessKeys orders candidates by minimization-sense keys, ties by label —
 // the deterministic order of frontier output and top-K ranking.
-func lessEval(a, b *evaluation) bool {
-	for k := range a.keys {
-		if a.keys[k] != b.keys[k] {
-			return a.keys[k] < b.keys[k]
+func lessKeys(ak []float64, al string, bk []float64, bl string) bool {
+	for k := range ak {
+		if ak[k] != bk[k] {
+			return ak[k] < bk[k]
 		}
 	}
-	return a.label < b.label
+	return al < bl
 }
 
 // finishFrontier extracts the exact Pareto set from the feasible
@@ -866,7 +1050,8 @@ func finishFrontier(f *Frontier, evals []evaluation) {
 	}
 	front := explore.Front(vecs)
 	sort.SliceStable(front, func(a, b int) bool {
-		return lessEval(&evals[front[a]], &evals[front[b]])
+		ea, eb := &evals[front[a]], &evals[front[b]]
+		return lessKeys(ea.keys, ea.label, eb.keys, eb.label)
 	})
 	f.Points = f.Points[:0]
 	for _, i := range front {

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"scalesim"
 )
@@ -100,6 +101,27 @@ func TestRunRejectsUndeclaredFidelity(t *testing.T) {
 			if sr.Err == nil || sr.Result != nil {
 				t.Errorf("Sweep point %s at Fidelity(%d): result %v, err %v; want an error", sr.Point.Name, fid, sr.Result, sr.Err)
 			}
+		}
+	}
+}
+
+// TestRunRejectsAliasingOperandAtEveryTier is the oversized-layer probe:
+// a conv layer whose lowered ifmap (M≈4.2M × K=1024 words) would spill
+// into the filter's address region is refused by validation at both
+// tiers, before any simulation work, with the layer and operand named.
+func TestRunRejectsAliasingOperandAtEveryTier(t *testing.T) {
+	topo := &scalesim.Topology{Name: "probe", Layers: []scalesim.Layer{{
+		Name: "probe", Kind: scalesim.Conv, IfmapH: 2048, IfmapW: 2048,
+		FilterH: 1, FilterW: 1, Channels: 1024, NumFilters: 1024, Stride: 1,
+	}}}
+	for _, fid := range []scalesim.Fidelity{scalesim.Analytical, scalesim.EventDriven} {
+		start := time.Now()
+		_, err := scalesim.New(memoryConfig()).Run(context.Background(), topo, scalesim.WithFidelity(fid))
+		if err == nil || !strings.Contains(err.Error(), `layer "probe": ifmap operand`) {
+			t.Errorf("%v: err = %v, want the ifmap operand of layer \"probe\" refused", fid, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%v: refusing the layer took %v", fid, d)
 		}
 	}
 }

@@ -41,6 +41,14 @@ func (v Value) String() string {
 	return strconv.Itoa(v.Int)
 }
 
+// appendTo appends the setting's String form to b.
+func (v Value) appendTo(b []byte) []byte {
+	if v.isStr {
+		return append(b, v.Str...)
+	}
+	return strconv.AppendInt(b, int64(v.Int), 10)
+}
+
 // Axis is one dimension of a design space: a name, a finite ordered value
 // domain and the function that applies a chosen value to a configuration
 // (and, for workload axes such as sparsity, to the topology).
@@ -233,10 +241,16 @@ func (s Space) dims() []int {
 // applied in axis order.
 func (s Space) Apply(base config.Config, c Candidate) config.Config {
 	cfg := base
-	for i := range s {
-		s[i].apply(&cfg, s[i].values[c[i]])
-	}
+	s.ApplyTo(&cfg, c)
 	return cfg
+}
+
+// ApplyTo applies the candidate's settings to cfg in place — Apply without
+// the copy, for callers that reuse one Config across candidates.
+func (s Space) ApplyTo(cfg *config.Config, c Candidate) {
+	for i := range s {
+		s[i].apply(cfg, s[i].values[c[i]])
+	}
 }
 
 // ApplyTopology applies the workload-transforming axes (if any) to topo,
@@ -260,16 +274,18 @@ func (s Space) ApplyTopology(topo *topology.Topology, c Candidate) (*topology.To
 // Label renders a candidate as "axis=value,axis=value" in axis order — the
 // sweep point name and the Point column of FRONTIER.csv.
 func (s Space) Label(c Candidate) string {
-	var b strings.Builder
+	// Built on the stack, so the returned string is the only allocation.
+	var buf [64]byte
+	b := buf[:0]
 	for i := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(s[i].name)
-		b.WriteByte('=')
-		b.WriteString(s[i].values[c[i]].String())
+		b = append(b, s[i].name...)
+		b = append(b, '=')
+		b = s[i].values[c[i]].appendTo(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Values renders a candidate's per-axis settings, in axis order.
@@ -294,10 +310,15 @@ func (s Space) Names() []string {
 // (last axis fastest), the grid strategy's enumeration order.
 func (s Space) candidateAt(idx int64) Candidate {
 	c := make(Candidate, len(s))
+	s.decode(idx, c)
+	return c
+}
+
+// decode writes the idx-th point of the space into c (len(s) settings).
+func (s Space) decode(idx int64, c Candidate) {
 	for i := len(s) - 1; i >= 0; i-- {
 		n := int64(s[i].Len())
 		c[i] = int(idx % n)
 		idx /= n
 	}
-	return c
 }

@@ -63,9 +63,19 @@ func NewGrid(space Space) *Grid {
 func (g *Grid) Name() string { return "grid" }
 
 func (g *Grid) Ask(n int) []Candidate {
-	var out []Candidate
-	for len(out) < n && g.next < g.size {
-		out = append(out, g.space.candidateAt(g.next))
+	if rem := g.size - g.next; int64(n) > rem {
+		n = int(rem)
+	}
+	if n <= 0 {
+		return nil
+	}
+	// One backing array per batch instead of one per candidate.
+	d := len(g.space)
+	flat := make([]int, n*d)
+	out := make([]Candidate, n)
+	for i := range out {
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		g.space.decode(g.next, out[i])
 		g.next++
 	}
 	return out

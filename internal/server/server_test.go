@@ -309,6 +309,9 @@ func TestServerRequestErrors(t *testing.T) {
 		{"run fidelity cycle", "/v1/runs", `{"topology": {"builtin": "alexnet"}, "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
 		{"sweep fidelity cycle", "/v1/sweeps", `{"points": [{"topology": {"builtin": "alexnet"}}], "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
 		{"explore fidelity cycle", "/v1/explore", `{"topology": {"builtin": "alexnet"}, "space": "array=8..16:pow2", "fidelity": "cycle"}`, "fidelity: scalesim: unknown fidelity \"cycle\" (valid: analytical, event)"},
+		// A layer whose lowered ifmap (M≈4.2M × K=1024) would spill into the
+		// filter's address region is refused up front, with the layer named.
+		{"oversized operand", "/v1/runs", `{"topology": {"layers": [{"name": "huge", "kind": "conv", "ifmap_h": 2048, "ifmap_w": 2048, "filter_h": 1, "filter_w": 1, "channels": 1024, "num_filters": 1024, "stride": 1}]}}`, `layer "huge": ifmap operand`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -5,14 +5,17 @@ import (
 	"sync"
 
 	"scalesim/internal/config"
+	"scalesim/internal/topology"
 )
 
 // Operand address-space bases (word addresses), following the SCALE-Sim
-// convention of disjoint regions per operand.
+// convention of disjoint regions per operand. The ifmap and filter regions
+// are topology.MaxOperandWords long, which Layer.Validate enforces, so
+// operands never alias.
 const (
 	IfmapBase  int64 = 0
-	FilterBase int64 = 1 << 30
-	OfmapBase  int64 = 1 << 31
+	FilterBase int64 = topology.MaxOperandWords
+	OfmapBase  int64 = 2 * topology.MaxOperandWords
 )
 
 // Demand is the set of scratchpad accesses issued in one array cycle.

@@ -117,7 +117,14 @@ type Layer struct {
 	Sparsity Sparsity
 }
 
-// Validate reports a descriptive error when the layer is malformed.
+// MaxOperandWords bounds the lowered ifmap (M×K) and filter (K×N) operands
+// of one layer. The simulator lays the operands out in disjoint regions of
+// this many words, so a larger operand would silently spill into the next
+// operand's addresses.
+const MaxOperandWords int64 = 1 << 30
+
+// Validate reports a descriptive error when the layer is malformed or an
+// operand exceeds MaxOperandWords.
 func (l *Layer) Validate() error {
 	switch l.Kind {
 	case Conv:
@@ -150,7 +157,34 @@ func (l *Layer) Validate() error {
 	if s := l.Sparsity; s.M != 0 && (s.N <= 0 || s.N > s.M) {
 		return fmt.Errorf("topology: layer %q: invalid sparsity %v", l.Name, s)
 	}
+	// Operand extents, saturated so that int overflow cannot hide one.
+	m, n, k := l.GEMMDims()
+	mw, kw, nw := int64(m), int64(k), int64(n)
+	if l.Kind == Conv {
+		mw = satMul(int64(l.OfmapH()), int64(l.OfmapW()))
+		kw = satMul(int64(l.FilterH), int64(l.FilterW), int64(l.Channels))
+	}
+	if satMul(mw, kw) > MaxOperandWords {
+		return fmt.Errorf("topology: layer %q: ifmap operand (M×K = %d×%d) exceeds the %d-word operand region",
+			l.Name, m, k, MaxOperandWords)
+	}
+	if satMul(kw, nw) > MaxOperandWords {
+		return fmt.Errorf("topology: layer %q: filter operand (K×N = %d×%d) exceeds the %d-word operand region",
+			l.Name, k, n, MaxOperandWords)
+	}
 	return nil
+}
+
+// satMul multiplies positive dimensions, saturating at MaxOperandWords+1.
+func satMul(xs ...int64) int64 {
+	p := int64(1)
+	for _, x := range xs {
+		if x > MaxOperandWords || p > MaxOperandWords/x {
+			return MaxOperandWords + 1
+		}
+		p *= x
+	}
+	return p
 }
 
 // OfmapH returns the output feature-map height of a Conv layer.

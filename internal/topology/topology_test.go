@@ -82,6 +82,49 @@ func TestLayerValidate(t *testing.T) {
 	}
 }
 
+// TestLayerValidateOperandExtents pins the operand-region bound: the
+// lowered ifmap (M×K) and filter (K×N) operands may fill their 2^30-word
+// regions exactly but not spill past them, overflowing dimensions cannot
+// sneak past the check, and the error names the layer and the operand.
+func TestLayerValidateOperandExtents(t *testing.T) {
+	tests := []struct {
+		name    string
+		layer   Layer
+		operand string // "" when the layer must validate
+	}{
+		{"gemm ifmap fills its region", Layer{Name: "fit", Kind: GEMM, M: 1 << 20, N: 1, K: 1 << 10}, ""},
+		{"gemm filter fills its region", Layer{Name: "fit", Kind: GEMM, M: 1, N: 1 << 15, K: 1 << 15}, ""},
+		{"gemm ifmap one row over", Layer{Name: "tall", Kind: GEMM, M: 1<<20 + 1, N: 1, K: 1 << 10}, "ifmap"},
+		{"gemm filter one column over", Layer{Name: "wide", Kind: GEMM, M: 1, N: 1<<15 + 1, K: 1 << 15}, "filter"},
+		{"gemm product overflows int64", Layer{Name: "overflow", Kind: GEMM, M: 1 << 62, N: 1, K: 4}, "ifmap"},
+		{"conv probe M≈4.2M K=1024", Layer{Name: "probe", Kind: Conv, IfmapH: 2048, IfmapW: 2048,
+			FilterH: 1, FilterW: 1, Channels: 1024, NumFilters: 1024, Stride: 1}, "ifmap"},
+		{"conv filter over", Layer{Name: "deep", Kind: Conv, IfmapH: 3, IfmapW: 3,
+			FilterH: 3, FilterW: 3, Channels: 1 << 17, NumFilters: 1 << 10, Stride: 1}, "filter"},
+		{"conv window overflows int", Layer{Name: "window", Kind: Conv, IfmapH: 1 << 40, IfmapW: 1 << 40,
+			FilterH: 1 << 40, FilterW: 1 << 40, Channels: 1 << 40, NumFilters: 1, Stride: 1}, "ifmap"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.layer.Validate()
+			if tt.operand == "" {
+				if err != nil {
+					t.Fatalf("valid layer rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("oversized %s operand accepted: %+v", tt.operand, tt.layer)
+			}
+			for _, want := range []string{`"` + tt.layer.Name + `"`, tt.operand + " operand"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestBuiltinModels(t *testing.T) {
 	for _, name := range BuiltinNames() {
 		topo, err := Builtin(name)

@@ -18,8 +18,13 @@ type options struct {
 	traceName     string
 }
 
+// defaultERT is the 65 nm table of every run without WithERT. One table
+// is shared by all of them, so nothing may mutate it; DefaultERT hands
+// callers a copy of their own.
+var defaultERT = energy.Default65nm()
+
 func defaultOptions() options {
-	return options{ert: energy.Default65nm(), stages: DefaultStages()}
+	return options{ert: defaultERT, stages: DefaultStages()}
 }
 
 // Option configures a Simulator (when passed to New), one run (when passed
@@ -30,6 +35,10 @@ type Option func(*options)
 // WithERT overrides the energy reference table (user-customized component
 // descriptions, as Accelergy permits). The table is read concurrently by
 // the worker pool and must not be mutated while a run is in flight.
+//
+// Without WithERT a run reads one 65 nm table shared by the whole process.
+// To customize it, start from DefaultERT, which returns a private copy, and
+// pass the result here.
 func WithERT(e *ERT) Option {
 	return func(o *options) {
 		if e != nil {

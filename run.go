@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scalesim/internal/simcache"
@@ -32,41 +33,64 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
 	o := s.opts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := o.fidelity.check(); err != nil {
+	res := new(Result)
+	if err := run(ctx, &s.cfg, &o, topo, res, nil); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// run is the one run path behind Run and the Explore screen. It validates
+// the configuration, the topology and the tier, simulates every layer into
+// res and writes the trace. res is overwritten; its layer slice is reused
+// when large enough, and sc, when non-nil, is the StageContext sequential
+// layers reuse. After an error res holds partial results.
+func run(ctx context.Context, cfg *Config, o *options, topo *Topology, res *Result, sc *StageContext) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := topo.Validate(); err != nil {
+		return err
+	}
+	if err := o.fidelity.check(); err != nil {
+		return err
 	}
 	if err := o.resolveStore(); err != nil {
-		return nil, err
+		return err
 	}
-	lc := newLayerCache(o.cache, &s.cfg, &o)
-	res := &Result{Config: s.cfg, Layers: make([]LayerResult, len(topo.Layers))}
+	lc := newLayerCache(o.cache, cfg, o)
+	layers := res.Layers
+	if n := len(topo.Layers); cap(layers) >= n {
+		layers = layers[:n]
+	} else {
+		layers = make([]LayerResult, n)
+	}
+	*res = Result{Config: *cfg, Layers: layers}
 
 	// A nil tracer is the zero-overhead default: every span below no-ops.
-	var tracer *telemetry.Tracer
+	var (
+		tracer *telemetry.Tracer
+		root   *telemetry.Span
+		start  time.Time
+	)
 	if o.traceEnabled {
 		tracer = telemetry.NewTracer()
+		start = time.Now()
+		root = tracer.Start("run", "run")
+		root.SetAttr("run", cfg.RunName)
+		root.SetAttr("dataflow", cfg.Dataflow.String())
+		root.SetAttr("array", fmt.Sprintf("%dx%d", cfg.ArrayRows, cfg.ArrayCols))
+		root.SetAttr("layers", len(topo.Layers))
 	}
-	start := time.Now()
-	root := tracer.Start("run", "run")
-	root.SetAttr("run", s.cfg.RunName)
-	root.SetAttr("dataflow", s.cfg.Dataflow.String())
-	root.SetAttr("array", fmt.Sprintf("%dx%d", s.cfg.ArrayRows, s.cfg.ArrayCols))
-	root.SetAttr("layers", len(topo.Layers))
 
-	err := runLayers(ctx, &s.cfg, &o, topo, res.Layers, lc, root)
+	err := runLayers(ctx, cfg, o, topo, res.Layers, lc, root, sc)
 	root.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if lc != nil {
 		res.CacheStats = lc.stats()
@@ -75,12 +99,12 @@ func (s *Simulator) Run(ctx context.Context, topo *Topology, opts ...Option) (*R
 		res.wall = time.Since(start)
 		res.spans = tracer.Records()
 		if o.traceDir != "" {
-			if err := writeTraceFile(tracer, o.traceDir, traceBaseName(&o, &s.cfg)); err != nil {
-				return nil, err
+			if err := writeTraceFile(tracer, o.traceDir, traceBaseName(o, cfg)); err != nil {
+				return err
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // traceBaseName picks the trace file's base name: the sweep point name when
@@ -134,11 +158,12 @@ func isCtxSentinel(err error) bool {
 }
 
 // runLayers fills out[i] with the result of topo.Layers[i] using a pool of
-// workers. On error the pool drains; the lowest-index error among the
-// layers that actually ran is reported (layers past the first failure may
-// never start, so under parallelism the surfaced error can differ between
-// runs when several layers fail).
-func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out []LayerResult, lc *layerCache, root *telemetry.Span) error {
+// workers. Sequential layers reuse sc (allocated when nil); each parallel
+// worker has its own StageContext. On error the pool drains; the
+// lowest-index error among the layers that actually ran is reported
+// (layers past the first failure may never start, so under parallelism the
+// surfaced error can differ between runs when several layers fail).
+func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out []LayerResult, lc *layerCache, root *telemetry.Span, sc *StageContext) error {
 	n := len(topo.Layers)
 	if n == 0 {
 		return ctx.Err()
@@ -152,14 +177,14 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 	}
 
 	if workers == 1 {
+		if sc == nil {
+			sc = new(StageContext)
+		}
 		for i := range topo.Layers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			lr, err := runLayer(ctx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
-			if err == nil {
-				out[i] = *lr
-			}
+			err := runLayer(ctx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i), sc, &out[i])
 			if o.progress != nil {
 				o.progress(LayerProgress{
 					Index: i, Total: n, Layer: topo.Layers[i].Name, Done: i + 1, Err: err,
@@ -181,18 +206,17 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 		mu   sync.Mutex
 		done int
 		errs = make([]error, n)
+		scs  = make([]StageContext, workers)
 	)
-	forEachIndex(runCtx, n, workers, func(i int) {
+	forEachIndex(runCtx, n, workers, func(w, i int) {
 		if runCtx.Err() != nil {
 			return
 		}
-		lr, err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i))
+		err := runLayer(runCtx, cfg, o, &topo.Layers[i], lc, layerSpan(root, topo, i), &scs[w], &out[i])
 		mu.Lock()
 		if err != nil {
 			errs[i] = err
 			cancel() // first error aborts the remaining layers
-		} else {
-			out[i] = *lr
 		}
 		done++
 		if o.progress != nil {
@@ -214,28 +238,35 @@ func runLayers(ctx context.Context, cfg *Config, o *options, topo *Topology, out
 	return ctx.Err()
 }
 
-// forEachIndex runs fn(i) for every i in [0, n) on a pool of `workers`
-// goroutines and blocks until all dispatched calls return. Cancelling ctx
-// stops dispatching new indices; fn is never called for the rest.
-func forEachIndex(ctx context.Context, n, workers int, fn func(int)) {
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := 0; i < n; i++ {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
+// forEachIndex runs fn(w, i) for every i in [0, n) on a pool of at most
+// `workers` goroutines and blocks until all dispatched calls return; w in
+// [0, workers) names the goroutine, so callers can keep per-worker storage.
+// One worker runs inline on the calling goroutine. Cancelling ctx stops
+// dispatching new indices; fn is never called for the rest.
+func forEachIndex(ctx context.Context, n, workers int, fn func(w, i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(0, i)
 		}
-	}()
-	var wg sync.WaitGroup
+		return
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(w, i)
 			}
 		}()
 	}
@@ -255,10 +286,10 @@ func layerSpan(root *telemetry.Span, topo *Topology, i int) *telemetry.Span {
 	return ls
 }
 
-// runLayer pushes one layer through the stage pipeline, consulting the
-// layer cache (when enabled) before doing any work and populating it
-// after.
-func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerCache, span *telemetry.Span) (*LayerResult, error) {
+// runLayer pushes one layer through the stage pipeline into lr, consulting
+// the layer cache (when enabled) before doing any work and populating it
+// after. sc is reset and reused for the layer's stages.
+func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerCache, span *telemetry.Span, sc *StageContext, lr *LayerResult) error {
 	defer span.End()
 	var ckey simcache.Key
 	if lc != nil {
@@ -268,11 +299,12 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 			// Cancelled while coalesced behind another worker's
 			// simulation of this shape; the bare context error is the
 			// cancellation sentinel runLayers expects.
-			return nil, err
+			return err
 		}
 		if hit != nil {
 			span.SetAttr("cache", "hit")
-			return hit, nil
+			*lr = *hit
+			return nil
 		}
 		span.SetAttr("cache", "miss")
 		// We hold the single-flight slot for this shape: simulate, then
@@ -280,8 +312,8 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 		defer lc.done(ckey)
 	}
 	m, n, k := l.GEMMDims()
-	lr := &LayerResult{Layer: *l, M: m, N: n, K: k}
-	sc := &StageContext{
+	*lr = LayerResult{Layer: *l, M: m, N: n, K: k}
+	*sc = StageContext{
 		Config:      cfg,
 		ERT:         o.ert,
 		Layer:       l,
@@ -302,17 +334,17 @@ func runLayer(ctx context.Context, cfg *Config, o *options, l *Layer, lc *layerC
 	}
 	for _, st := range o.stages {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		sc.Span = span.Child(st.Name(), "stage")
 		err := st.Apply(ctx, sc, lr)
 		sc.Span.End()
 		if err != nil {
-			return nil, fmt.Errorf("%s stage: %w", st.Name(), err)
+			return fmt.Errorf("%s stage: %w", st.Name(), err)
 		}
 	}
 	if lc != nil {
 		lc.put(ckey, lr)
 	}
-	return lr, nil
+	return nil
 }

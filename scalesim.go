@@ -53,8 +53,9 @@
 // Explore automates the what-if loop: declare a parameter Space over
 // configuration knobs, one or more Objectives, and a seeded search
 // strategy, and receive the exact multi-objective Pareto Frontier —
-// candidates are evaluated in Sweep batches behind one cache, and a fixed
-// seed yields a byte-identical frontier at any parallelism:
+// accurate-tier candidates are evaluated in Sweep batches behind one
+// cache, and a fixed seed yields a byte-identical frontier at any
+// parallelism:
 //
 //	space, _ := scalesim.ParseSpace("array=16..128:pow2; dataflow=os,ws,is")
 //	frontier, err := scalesim.Explore(ctx, cfg, topo, space,
@@ -123,8 +124,10 @@ func TPUConfig() Config { return config.TPUv2Like() }
 // LoadConfig parses a SCALE-Sim .cfg file.
 func LoadConfig(path string) (Config, error) { return config.LoadINI(path) }
 
-// DefaultERT returns the 65 nm energy reference table used when no
-// WithERT option is given.
+// DefaultERT returns a fresh copy of the 65 nm energy reference table used
+// when no WithERT option is given. The copy is the caller's to mutate (for
+// example with Set): runs without WithERT read a separate, shared table and
+// are unaffected.
 func DefaultERT() *ERT { return energy.Default65nm() }
 
 // BuiltinTopology returns a model from the built-in zoo ("alexnet",

@@ -20,6 +20,8 @@ import (
 // Earlier stages communicate with later ones through it: the compute stage
 // fixes the effective Dataflow (sparse runs force weight-stationary) and
 // the filter density the memory and energy stages consume.
+// A run reuses one StageContext for the layers it simulates in sequence,
+// so a stage must not keep it past Apply.
 type StageContext struct {
 	// Config is the run configuration (read-only; shared across layers).
 	Config *Config
@@ -179,8 +181,11 @@ func (computeStage) Apply(_ context.Context, sc *StageContext, lr *LayerResult) 
 		lr.Utilization = est.Utilization
 		lr.MappingEff = est.MappingEfficiency
 	}
-	sc.Span.SetAttr("dataflow", sc.Dataflow.String())
-	sc.Span.SetAttr("compute_cycles", lr.ComputeCycles)
+	if sc.Span != nil {
+		// Boxing these values allocates even when the span is nil.
+		sc.Span.SetAttr("dataflow", sc.Dataflow.String())
+		sc.Span.SetAttr("compute_cycles", lr.ComputeCycles)
+	}
 	lr.TotalCycles = lr.ComputeCycles
 	return nil
 }

@@ -68,7 +68,7 @@ func Sweep(ctx context.Context, points []SweepPoint, opts ...Option) ([]SweepRes
 		mu   sync.Mutex // serializes progress callbacks across points
 		done int
 	)
-	forEachIndex(ctx, n, workers, func(i int) {
+	forEachIndex(ctx, n, workers, func(_, i int) {
 		p := &points[i]
 		out[i].Point = *p
 		out[i].Result, out[i].Err = runSweepPoint(ctx, &o, &mu, p)
