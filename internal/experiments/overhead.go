@@ -75,11 +75,12 @@ func RunTable4(p Table4Params) ([]Table4Row, error) {
 			}
 			for li := range t.Layers {
 				m, n, k := t.Layers[li].GEMMDims()
-				err := systolic.Stream(cfg.Dataflow, cfg.ArrayRows, cfg.ArrayCols,
-					systolic.Gemm{M: m, N: n, K: k}, func(d *systolic.Demand) bool { return true })
+				fs, err := systolic.NewFoldSchedule(cfg.Dataflow, cfg.ArrayRows, cfg.ArrayCols,
+					systolic.Gemm{M: m, N: n, K: k})
 				if err != nil {
 					return 0, err
 				}
+				fs.Materialize(func(d *systolic.Demand) bool { return true })
 			}
 			return time.Since(start), nil
 		}

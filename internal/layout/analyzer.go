@@ -119,7 +119,9 @@ func (a *Analyzer) baseline(n int) int64 {
 	return (int64(n) + bw - 1) / bw
 }
 
-// Observe records one parallel access group under both models.
+// Observe records one parallel access group under both models. It is the
+// per-cycle replay the differential tests hold ObserveRun to; production
+// code scores whole runs through AnalyzeSchedule.
 func (a *Analyzer) Observe(addrs []int64) {
 	if len(addrs) == 0 {
 		return

@@ -37,7 +37,7 @@ func newTriple(t testing.TB, lc layout.Config) (ifa, fla, ofa *layout.Analyzer) 
 }
 
 // replayTriple is the retained oracle: the per-cycle stream fed through the
-// transforms and Observe, exactly as stage.go's fallback path does.
+// transforms and Observe.
 func replayTriple(t testing.TB, c simtest.Case, lc layout.Config, natural bool) (ifa, fla, ofa *layout.Analyzer) {
 	t.Helper()
 	ifa, fla, ofa = newTriple(t, lc)

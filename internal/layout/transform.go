@@ -19,7 +19,9 @@ func Transpose(rows, cols int) Transform {
 // NaturalTransforms returns the storage transforms a layout-aware mapper
 // would choose for each operand of the GEMM under the dataflow: any operand
 // the dataflow walks column-wise is stored transposed so its per-cycle
-// access groups are contiguous. A nil entry keeps row-major.
+// access groups are contiguous. A nil entry keeps row-major. With
+// ApplyTransform and Observe it forms the per-cycle replay oracle; it has
+// no production caller.
 //
 //	OS: the ifmap is streamed column-by-column (A[·, t]) → transpose;
 //	    the filter streams row-by-row and the outputs drain row-major.
@@ -55,7 +57,8 @@ func NaturalTransposed(df config.Dataflow) (ifmap, filter, ofmap bool) {
 }
 
 // ApplyTransform rebases the absolute addresses to operand-local, applies
-// the transform and appends the results to dst.
+// the transform and appends the results to dst. Oracle only: production
+// code linearizes whole patterns with PatternRun.
 func ApplyTransform(dst []int64, addrs []int64, base int64, t Transform) []int64 {
 	for _, a := range addrs {
 		local := a - base

@@ -56,10 +56,11 @@ func (s Span) LineCount(wordBytes, lineBytes int64) int64 {
 func Estimate(sched *Schedule, tech dram.Tech, channels int, opts Options) *Result {
 	opts.defaults()
 	wb, lb := int64(opts.WordBytes), int64(opts.LineBytes)
-	res := &Result{ComputeCycles: sched.ComputeCycles()}
+	res := &Result{ComputeCycles: sched.TotalCycles()}
 	var readLines, writeLines int64
-	for i := range sched.Folds {
-		f := &sched.Folds[i]
+	var f Fold
+	for i := 0; i < sched.NumFolds(); i++ {
+		sched.Fold(i, &f)
 		res.ReadWords += f.StationaryWords() + f.StreamWords()
 		res.WriteWords += f.WriteWords()
 		for _, sp := range f.Stationary {

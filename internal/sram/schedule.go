@@ -96,28 +96,34 @@ func (f *Fold) WriteWords() int64 {
 	return w
 }
 
-// Schedule is the ordered fold sequence of one layer.
+// Schedule is the fold sequence of one layer, viewed per index: Fold
+// derives each fold's spans on demand from the systolic fold tiling, so a
+// schedule costs the same to build whatever its fold count.
 type Schedule struct {
 	Dataflow config.Dataflow
-	R, C     int
-	G        systolic.Gemm
-	Folds    []Fold
+	// G is the dense GEMM; the tiling runs over its compressed form.
+	G systolic.Gemm
+	// tiling is the systolic fold schedule of Gemm{M, N, kEff}: sparsity
+	// compresses the contraction dimension, which maps onto the array rows
+	// for WS/IS and onto time for OS.
+	tiling systolic.FoldSchedule
+	// Operand slices that stay resident across the folds re-using them.
+	ifmapResident, filterResident, ofmapResident bool
 }
 
-// ComputeCycles is the stall-free total.
-func (s *Schedule) ComputeCycles() int64 {
-	var total int64
-	for i := range s.Folds {
-		total += s.Folds[i].ComputeCycles
-	}
-	return total
-}
+// NumFolds is the fold count.
+func (s *Schedule) NumFolds() int { return s.tiling.NumFolds() }
+
+// TotalCycles is the stall-free total.
+func (s *Schedule) TotalCycles() int64 { return s.tiling.TotalCycles() }
 
 // ReadWords is the total DRAM read volume in words.
 func (s *Schedule) ReadWords() int64 {
 	var total int64
-	for i := range s.Folds {
-		total += s.Folds[i].StationaryWords() + s.Folds[i].StreamWords()
+	var f Fold
+	for i := 0; i < s.NumFolds(); i++ {
+		s.Fold(i, &f)
+		total += f.StationaryWords() + f.StreamWords()
 	}
 	return total
 }
@@ -125,10 +131,80 @@ func (s *Schedule) ReadWords() int64 {
 // WriteWords is the total DRAM write volume in words.
 func (s *Schedule) WriteWords() int64 {
 	var total int64
-	for i := range s.Folds {
-		total += s.Folds[i].WriteWords()
+	var f Fold
+	for i := 0; i < s.NumFolds(); i++ {
+		s.Fold(i, &f)
+		total += f.WriteWords()
 	}
 	return total
+}
+
+// Fold fills f with fold idx's memory view, reusing the backing arrays of
+// f's span slices. When the filter is compressed, the folds tile the
+// compressed contraction dimension, but the dense ifmap words backing each
+// fold must still be fetched: denseK words of ifmap per compressed fold
+// row.
+func (s *Schedule) Fold(idx int, f *Fold) {
+	i, j, tr, tc := s.tiling.Tile(idx)
+	tileR, tileC := int64(tr), int64(tc)
+	rowOff, colOff := int64(i*s.tiling.R), int64(j*s.tiling.C)
+	fr := s.tiling.FoldsR
+	M, N, K := int64(s.G.M), int64(s.G.N), int64(s.G.K)
+	kEff := int64(s.tiling.G.K)
+	// Dense contraction slice backing this compressed fold.
+	denseLo := int64(i) * K / int64(fr)
+	denseTile := max(int64(i+1)*K/int64(fr)-denseLo, 1)
+	*f = Fold{
+		Stationary:    f.Stationary[:0],
+		Stream:        f.Stream[:0],
+		Writes:        f.Writes[:0],
+		ComputeCycles: s.tiling.PerFold,
+		StreamCycles:  int64(s.tiling.Map.T),
+	}
+	switch s.Dataflow {
+	case config.OutputStationary:
+		// Streams A rows (dense) and B columns (compressed); outputs
+		// drain once. Resident slices are served from SRAM on re-use and
+		// fetched only the first time.
+		if j == 0 || !s.ifmapResident {
+			f.Stream = append(f.Stream, Span{Base: systolic.IfmapBase + rowOff*K,
+				Rows: tileR, RowWords: K, RowStride: K})
+		}
+		if i == 0 || !s.filterResident {
+			f.Stream = append(f.Stream, Span{Base: systolic.FilterBase + colOff,
+				Rows: kEff, RowWords: tileC, RowStride: N})
+		}
+		f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + rowOff*N + colOff,
+			Rows: tileR, RowWords: tileC, RowStride: N})
+	case config.WeightStationary:
+		// Pins the (compressed) filter tile; streams the dense ifmap
+		// columns backing it; spills partial sums every contraction fold
+		// unless they stay resident.
+		f.Stationary = append(f.Stationary, Span{Base: systolic.FilterBase + rowOff*N + colOff,
+			Rows: tileR, RowWords: tileC, RowStride: N})
+		if j == 0 || !s.ifmapResident {
+			f.Stream = append(f.Stream, Span{Base: systolic.IfmapBase + denseLo,
+				Rows: M, RowWords: denseTile, RowStride: K})
+		}
+		if i == fr-1 || !s.ofmapResident {
+			f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + colOff,
+				Rows: M, RowWords: tileC, RowStride: N})
+		}
+	case config.InputStationary:
+		// Pins the (transposed) input tile; streams filter rows.
+		f.Stationary = append(f.Stationary, Span{Base: systolic.IfmapBase + colOff*K + denseLo,
+			Rows: tileC, RowWords: denseTile, RowStride: K})
+		if j == 0 || !s.filterResident {
+			f.Stream = append(f.Stream, Span{Base: systolic.FilterBase + rowOff*N,
+				Rows: tileR, RowWords: N, RowStride: N})
+		}
+		if i == fr-1 || !s.ofmapResident {
+			f.Writes = append(f.Writes, Span{Base: systolic.OfmapBase + colOff*N,
+				Rows: tileC, RowWords: N, RowStride: N})
+		}
+	}
+	// Pace consumption to the fetched volume over the streaming phase.
+	f.ConsumeRate = ceil64(f.StreamWords(), f.StreamCycles)
 }
 
 // ScheduleOptions tunes BuildSchedule.
@@ -148,7 +224,8 @@ type ScheduleOptions struct {
 }
 
 // BuildSchedule derives the fold-level memory schedule of a GEMM under the
-// dataflow.
+// dataflow. It validates the request and runs the reuse analysis; the
+// folds themselves are derived on demand by Schedule.Fold.
 func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleOptions) (*Schedule, error) {
 	if r <= 0 || c <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
 		return nil, fmt.Errorf("sram: invalid schedule request r=%d c=%d g=%+v", r, c, g)
@@ -157,132 +234,38 @@ func BuildSchedule(df config.Dataflow, r, c int, g systolic.Gemm, opts ScheduleO
 	if filterRatio <= 0 || filterRatio > 1 {
 		filterRatio = 1
 	}
-	kEff := int(float64(g.K)*filterRatio + 0.5)
-	if kEff < 1 {
-		kEff = 1
+	kEff := max(int(float64(g.K)*filterRatio+0.5), 1)
+	tiling, err := systolic.NewFoldSchedule(df, r, c, systolic.Gemm{M: g.M, N: g.N, K: kEff})
+	if err != nil {
+		return nil, err
 	}
-	mp := systolic.MappingFor(df, g.M, g.N, g.K)
-	srEff := mp.Sr
-	// Sparsity compresses the contraction dimension, which maps onto the
-	// array rows for WS/IS and onto time for OS.
-	tEff := mp.T
-	switch df {
-	case config.WeightStationary, config.InputStationary:
-		srEff = kEff
-	case config.OutputStationary:
-		tEff = kEff
-	}
-	fr := systolic.CeilDiv(srEff, r)
-	fc := systolic.CeilDiv(mp.Sc, c)
-	perFold := systolic.FoldCycles(r, c, tEff)
-
-	sched := &Schedule{Dataflow: df, R: r, C: c, G: g}
+	sched := &Schedule{Dataflow: df, G: g, tiling: *tiling}
 	M, N, K := int64(g.M), int64(g.N), int64(g.K)
 
 	// Reuse analysis: decide which operand slices stay resident across
 	// the folds that re-use them (half the scratchpad, double-buffered).
 	fits := func(words, sram int64) bool { return sram > 0 && words <= sram/2 }
-	var ifmapResident, filterResident, ofmapResident bool
 	switch df {
 	case config.OutputStationary:
 		// A row-slice (tileR×K) is re-used across the column folds;
 		// the B column-slice (K×tileC) across the row folds, but the
 		// whole filter must stay put between its uses.
-		ifmapResident = fits(int64(r)*K, opts.IfmapSRAMWords)
-		filterResident = fits(int64(kEff)*N, opts.FilterSRAMWords)
+		sched.ifmapResident = fits(int64(r)*K, opts.IfmapSRAMWords)
+		sched.filterResident = fits(int64(kEff)*N, opts.FilterSRAMWords)
 	case config.WeightStationary:
 		// The ifmap slice of one contraction fold (M×denseTile) is
 		// re-used across the consecutive column folds; partial sums
 		// accumulate across the outer contraction folds, so the whole
 		// output must stay resident to avoid spills.
-		ifmapResident = fits(M*ceil64(K, int64(fr)), opts.IfmapSRAMWords)
-		ofmapResident = fits(M*N, opts.OfmapSRAMWords)
+		sched.ifmapResident = fits(M*ceil64(K, int64(tiling.FoldsR)), opts.IfmapSRAMWords)
+		sched.ofmapResident = fits(M*N, opts.OfmapSRAMWords)
 	case config.InputStationary:
 		// The filter row-slice (tileR×N) is re-used across the column
 		// folds; as for WS, partial sums span the whole output.
-		filterResident = fits(int64(r)*N, opts.FilterSRAMWords)
-		ofmapResident = fits(M*N, opts.OfmapSRAMWords)
-	}
-
-	// When the filter is compressed, the folds tile the compressed
-	// contraction dimension, but the dense ifmap words backing each fold
-	// must still be fetched: denseK words of ifmap per compressed fold row.
-	for i := 0; i < fr; i++ {
-		tileR := int64(minInt(r, srEff-i*r))
-		rowOff := int64(i * r)
-		// Dense contraction slice backing this compressed fold.
-		denseLo := int64(i) * K / int64(fr)
-		denseHi := int64(i+1) * K / int64(fr)
-		denseTile := denseHi - denseLo
-		if denseTile < 1 {
-			denseTile = 1
-		}
-		for j := 0; j < fc; j++ {
-			tileC := int64(minInt(c, mp.Sc-j*c))
-			colOff := int64(j * c)
-			f := Fold{
-				ComputeCycles: perFold,
-				StreamCycles:  int64(tEff),
-				ConsumeRate:   tileR,
-			}
-			switch df {
-			case config.OutputStationary:
-				// Streams A rows (dense) and B columns (compressed);
-				// outputs drain once. Resident slices are served from
-				// SRAM on re-use and fetched only the first time.
-				if j == 0 || !ifmapResident {
-					f.Stream = append(f.Stream, Span{Base: systolic.IfmapBase + rowOff*K,
-						Rows: tileR, RowWords: K, RowStride: K})
-				}
-				if i == 0 || !filterResident {
-					f.Stream = append(f.Stream, Span{Base: systolic.FilterBase + colOff,
-						Rows: int64(kEff), RowWords: tileC, RowStride: N})
-				}
-				f.Writes = []Span{{Base: systolic.OfmapBase + rowOff*N + colOff,
-					Rows: tileR, RowWords: tileC, RowStride: N}}
-			case config.WeightStationary:
-				// Pins the (compressed) filter tile; streams the dense
-				// ifmap columns backing it; spills partial sums every
-				// contraction fold unless they stay resident.
-				f.Stationary = []Span{{Base: systolic.FilterBase + rowOff*N + colOff,
-					Rows: tileR, RowWords: tileC, RowStride: N}}
-				if j == 0 || !ifmapResident {
-					f.Stream = []Span{{Base: systolic.IfmapBase + denseLo,
-						Rows: M, RowWords: denseTile, RowStride: K}}
-				}
-				if i == fr-1 || !ofmapResident {
-					f.Writes = []Span{{Base: systolic.OfmapBase + colOff,
-						Rows: M, RowWords: tileC, RowStride: N}}
-				}
-			case config.InputStationary:
-				// Pins the (transposed) input tile; streams filter rows.
-				f.Stationary = []Span{{Base: systolic.IfmapBase + colOff*K + denseLo,
-					Rows: tileC, RowWords: denseTile, RowStride: K}}
-				if j == 0 || !filterResident {
-					f.Stream = []Span{{Base: systolic.FilterBase + rowOff*N,
-						Rows: tileR, RowWords: N, RowStride: N}}
-				}
-				if i == fr-1 || !ofmapResident {
-					f.Writes = []Span{{Base: systolic.OfmapBase + colOff*N,
-						Rows: tileC, RowWords: N, RowStride: N}}
-				}
-			default:
-				return nil, fmt.Errorf("sram: unknown dataflow %v", df)
-			}
-			// Pace consumption to the fetched volume over the
-			// streaming phase.
-			f.ConsumeRate = ceil64(f.StreamWords(), int64(tEff))
-			sched.Folds = append(sched.Folds, f)
-		}
+		sched.filterResident = fits(int64(r)*N, opts.FilterSRAMWords)
+		sched.ofmapResident = fits(M*N, opts.OfmapSRAMWords)
 	}
 	return sched, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func ceil64(a, b int64) int64 {

@@ -115,14 +115,24 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 	}
 	opts.defaults()
 	skippedBase := sys.SkippedCycles()
+	nFolds := sched.NumFolds()
+	res := &Result{ComputeCycles: sched.TotalCycles()}
+	// One pass over the fold view: the traffic totals, and the largest
+	// consume batch, which the staging window must cover.
+	var f Fold
+	var maxRate int64
+	for i := 0; i < nFolds; i++ {
+		sched.Fold(i, &f)
+		maxRate = max(maxRate, f.ConsumeRate)
+		res.ReadWords += f.StationaryWords() + f.StreamWords()
+		res.WriteWords += f.WriteWords()
+	}
+	// Every fold runs the same pipeline: a streaming phase, and fill plus
+	// drain around it.
+	streamCycles := f.StreamCycles
+	fillDrainCycles := max(f.ComputeCycles-f.StreamCycles, 0)
 	// The staging window must cover at least one consume batch plus one
 	// in-flight line, or the producer/consumer pair livelocks.
-	var maxRate int64
-	for i := range sched.Folds {
-		if sched.Folds[i].ConsumeRate > maxRate {
-			maxRate = sched.Folds[i].ConsumeRate
-		}
-	}
 	lineWordsMin := int64(opts.LineBytes / opts.WordBytes)
 	if lineWordsMin < 1 {
 		lineWordsMin = 1
@@ -130,7 +140,6 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 	if floor := 2*maxRate + 2*lineWordsMin; opts.StreamWindowWords < floor {
 		opts.StreamWindowWords = floor
 	}
-	res := &Result{ComputeCycles: sched.ComputeCycles()}
 
 	// Per-fold request lists, materialized lazily: only the folds between
 	// the write drain cursor and the prefetch horizon (cf+1) are live, so
@@ -141,9 +150,12 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		// streamCum[i] is cumulative stream words after line i.
 		streamCum []int64
 		writes    []dram.Request
-		live      bool
+		// The fold's stream volume and consume batch, kept while it is
+		// live so the compute loop need not derive the fold again.
+		streamWords, consumeRate int64
+		live                     bool
 	}
-	folds := make([]foldReqs, len(sched.Folds))
+	folds := make([]foldReqs, nFolds)
 	var lineBuf []int64
 
 	// Backing-array pools: released folds donate their request and
@@ -176,7 +188,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		if fr.live {
 			return fr
 		}
-		f := &sched.Folds[i]
+		sched.Fold(i, &f)
 		fr.stat = newReqs(f.Stationary, false)
 		fr.stream = newReqs(f.Stream, false)
 		// Distribute the fold's stream words evenly over its lines
@@ -184,6 +196,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		// the final line must land exactly on StreamWords so the fold
 		// cannot complete before every line has been issued and served).
 		total := f.StreamWords()
+		fr.streamWords, fr.consumeRate = total, f.ConsumeRate
 		n := int64(len(fr.stream))
 		fr.streamCum = takeFit(&cumFree, len(fr.stream))
 		for j := int64(0); j < n; j++ {
@@ -228,11 +241,6 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		}
 		*fr = foldReqs{}
 	}
-	for i := range sched.Folds {
-		f := &sched.Folds[i]
-		res.ReadWords += f.StationaryWords() + f.StreamWords()
-		res.WriteWords += f.WriteWords()
-	}
 
 	// Producer state: in-order issue across folds, stationary→stream,
 	// with writes of completed folds interleaved ahead of future reads.
@@ -262,7 +270,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 	}
 	stream := opts.Trace.Child("sram.stream", "phase")
 	stream.SetAttr("engine", engine)
-	stream.SetAttr("folds", len(sched.Folds))
+	stream.SetAttr("folds", nFolds)
 
 	now := int64(0)
 	// nextRequest returns the request the producer offers next, in
@@ -289,7 +297,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 				return &fw.writes[writeIdx], pacedWrite
 			}
 		}
-		for issueFold < len(sched.Folds) && issueFold <= cf+1 {
+		for issueFold < nFolds && issueFold <= cf+1 {
 			fr := materialize(issueFold)
 			if statIdx < len(fr.stat) {
 				return &fr.stat[statIdx], statRead
@@ -359,7 +367,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 		now = next
 	}
 
-	for cf < len(sched.Folds) {
+	for cf < nFolds {
 		if now > opts.MaxCycles {
 			return nil, fmt.Errorf("sram: simulation exceeded %d cycles", opts.MaxCycles)
 		}
@@ -419,15 +427,10 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 				continue
 			}
 			started = true
-			f := &sched.Folds[cf]
-			streamPhaseLeft = f.StreamCycles
-			// Non-stream portion of the pipeline (fill + drain).
-			drainLeft = f.ComputeCycles - f.StreamCycles
-			if drainLeft < 0 {
-				drainLeft = 0
-			}
+			streamPhaseLeft = streamCycles
+			drainLeft = fillDrainCycles
 			consumedWords = 0
-			curStreamTotal = f.StreamWords()
+			curStreamTotal = fr.streamWords
 			streamAvail = 0
 		}
 		// Stream phase: consume ConsumeRate words/cycle if the data is
@@ -440,8 +443,7 @@ func Simulate(ctx context.Context, sched *Schedule, sys *dram.System, opts Optio
 			if streamAvail > 0 {
 				availWords = fr.streamCum[streamAvail-1]
 			}
-			f := &sched.Folds[cf]
-			need := consumedWords + f.ConsumeRate
+			need := consumedWords + fr.consumeRate
 			total := curStreamTotal
 			if need > total {
 				need = total

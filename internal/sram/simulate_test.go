@@ -30,7 +30,7 @@ func TestBuildScheduleVolumes(t *testing.T) {
 			t.Fatalf("%v: %v", df, err)
 		}
 		est := systolic.Estimate(df, 16, 16, g.M, g.N, g.K)
-		if got := sched.ComputeCycles(); got != est.ComputeCycles {
+		if got := sched.TotalCycles(); got != est.ComputeCycles {
 			t.Errorf("%v: schedule cycles %d != estimate %d", df, got, est.ComputeCycles)
 		}
 		// Reads must cover at least one copy of each input operand and

@@ -45,9 +45,10 @@ func (d *Demand) Total() int {
 type DemandFunc func(*Demand) bool
 
 // demandPool recycles Demand structs (and their grown backing slices)
-// across Stream calls, so Stream-heavy consumers — trace writers, the
-// layout analyzer, sweeps — do not churn the GC. Safe because the Demand
-// contract already forbids consumers from retaining the slices.
+// across Materialize and Stream calls, so per-cycle consumers — the SRAM
+// trace writer, the Table IV baseline, the differential tests — do not
+// churn the GC. Safe because the Demand contract already forbids consumers
+// from retaining the slices.
 var demandPool = sync.Pool{New: func() any { return new(Demand) }}
 
 // Gemm describes the GEMM being streamed.
@@ -59,6 +60,10 @@ type Gemm struct {
 // array under the dataflow, invoking fn once per cycle that has at least one
 // access. Cycles advance fold by fold; the stream's last cycle is exactly
 // Estimate(...).ComputeCycles − 1.
+//
+// Stream is the differential-test oracle and has no production caller:
+// production code walks FoldSchedule (Materialize for per-cycle demand),
+// which the differential tests hold emission-identical to it.
 //
 // Within each fold of length 2R+C+T−2:
 //
@@ -229,7 +234,8 @@ type StreamStats struct {
 	PeakPerCycle int
 }
 
-// CollectStats runs Stream and tallies the demand volume.
+// CollectStats runs Stream and tallies the demand volume. It is the
+// oracle for FoldSchedule.Stats and has no production caller.
 func CollectStats(df config.Dataflow, r, c int, g Gemm) (StreamStats, error) {
 	var st StreamStats
 	err := Stream(df, r, c, g, func(d *Demand) bool {

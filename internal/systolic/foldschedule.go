@@ -172,9 +172,11 @@ func (f *FoldInfo) Volumes() (ifmapReads, filterReads, ofmapWrites, ofmapReads i
 
 // FoldSchedule is the closed-form demand schedule of a GEMM on an R×C array:
 // the same folds, cycles and addresses Stream enumerates, derived
-// analytically in O(folds) instead of O(cycles × elements). Stream is
-// retained as the differential-test oracle; Materialize reproduces its
-// emission sequence exactly.
+// analytically in O(folds) instead of O(cycles × elements). It is the one
+// production source of a layer's fold tiling: the layout analysis, the SRAM
+// traces and the memory schedule (sram.BuildSchedule) all walk it. Stream
+// is the differential-test oracle with no production caller; Materialize
+// reproduces its emission sequence exactly.
 type FoldSchedule struct {
 	Dataflow config.Dataflow
 	R, C     int
@@ -194,6 +196,11 @@ func NewFoldSchedule(df config.Dataflow, r, c int, g Gemm) (*FoldSchedule, error
 	if g.M <= 0 || g.N <= 0 || g.K <= 0 {
 		return nil, fmt.Errorf("systolic: non-positive GEMM %+v", g)
 	}
+	switch df {
+	case config.OutputStationary, config.WeightStationary, config.InputStationary:
+	default:
+		return nil, fmt.Errorf("systolic: unknown dataflow %v", df)
+	}
 	mp := MappingFor(df, g.M, g.N, g.K)
 	return &FoldSchedule{
 		Dataflow: df, R: r, C: c, G: g, Map: mp,
@@ -212,13 +219,18 @@ func (s *FoldSchedule) TotalCycles() int64 {
 	return s.PerFold * int64(s.NumFolds())
 }
 
+// Tile places fold idx: its row/column fold indices and the live tile dims
+// on the array (full R×C except at the ragged edge of the mapping).
+func (s *FoldSchedule) Tile(idx int) (i, j, tileR, tileC int) {
+	i = idx / s.FoldsC
+	j = idx % s.FoldsC
+	return i, j, min(s.R, s.Map.Sr-i*s.R), min(s.C, s.Map.Sc-j*s.C)
+}
+
 // Fold fills f with fold idx's closed-form description, reusing
 // f.Patterns' backing array.
 func (s *FoldSchedule) Fold(idx int, f *FoldInfo) {
-	i := idx / s.FoldsC
-	j := idx % s.FoldsC
-	tileR := min(s.R, s.Map.Sr-i*s.R)
-	tileC := min(s.C, s.Map.Sc-j*s.C)
+	i, j, tileR, tileC := s.Tile(idx)
 	base := int64(idx) * s.PerFold
 	rowOff := i * s.R
 	colOff := j * s.C
@@ -353,8 +365,9 @@ func ScheduleStats(df config.Dataflow, r, c int, g Gemm) (StreamStats, error) {
 
 // Materialize expands the closed-form schedule back into the per-cycle
 // demand sequence, invoking fn exactly as Stream would — same emissions,
-// same order, same slice contents. It exists for the differential harness
-// and as a drop-in for consumers that still need per-cycle granularity.
+// same order, same slice contents. It is the production per-cycle demand
+// generator (the SRAM trace writer and the Table IV baseline use it);
+// FuzzFoldScheduleMatchesStream holds it emission-identical to Stream.
 func (s *FoldSchedule) Materialize(fn DemandFunc) {
 	d := demandPool.Get().(*Demand)
 	defer demandPool.Put(d)

@@ -288,10 +288,11 @@ func applyLayoutSlowdown(lr *LayerResult, slow float64) {
 // layoutSlowdown runs the bank-conflict analysis and returns the relative
 // slowdown of the layer's demand stream versus the pure-bandwidth model.
 //
-// Dense layers take the closed-form path: the fold schedule's access-pattern
-// summaries feed AnalyzeSchedule in O(folds) work, proven byte-identical to
-// the per-cycle replay by the differential tests. Irregular (sparse/N:M)
-// layers fall back to the exact per-cycle stream.
+// The fold schedule's access-pattern summaries feed AnalyzeSchedule in
+// O(folds) work, proven byte-identical to the per-cycle replay by the
+// differential tests. Sparse (N:M) layers take the same path: the layout
+// model sees their dense GEMM under the weight-stationary dataflow the
+// compute stage fixed, not the compressed filter.
 func layoutSlowdown(sc *StageContext) (float64, error) {
 	cfg := sc.Config
 	lc := layout.Config{
@@ -311,43 +312,15 @@ func layoutSlowdown(sc *StageContext) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g := systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}
-	if sc.pattern != nil {
-		// Irregular layers pay for the per-cycle replay; dense layers take
-		// the proven closed form.
-		sc.Span.SetAttr("fidelity", "replay")
-		if err := layoutReplay(sc.Dataflow, sc.Rows, sc.Cols, g, ifa, fla, ofa); err != nil {
-			return 0, err
-		}
-	} else {
-		sc.Span.SetAttr("fidelity", "closed-form")
-		fs, err := systolic.NewFoldSchedule(sc.Dataflow, sc.Rows, sc.Cols, g)
-		if err != nil {
-			return 0, err
-		}
-		// Operands are stored in their stream-natural order (the layout a
-		// layout-aware mapper picks); the remaining slowdown is the bank
-		// contention the paper's Figs. 12/13 quantify.
-		layout.AnalyzeSchedule(fs, ifa, fla, ofa, true)
+	fs, err := systolic.NewFoldSchedule(sc.Dataflow, sc.Rows, sc.Cols, systolic.Gemm{M: sc.M, N: sc.N, K: sc.K})
+	if err != nil {
+		return 0, err
 	}
+	// Operands are stored in their stream-natural order (the layout a
+	// layout-aware mapper picks); the remaining slowdown is the bank
+	// contention the paper's Figs. 12/13 quantify.
+	layout.AnalyzeSchedule(fs, ifa, fla, ofa, true)
 	return layout.CombinedSlowdown(ifa, fla, ofa), nil
-}
-
-// layoutReplay is the retained per-cycle fallback: it streams the layer's
-// demand through the analyzers cycle by cycle, exactly as the closed-form
-// path summarizes it.
-func layoutReplay(df config.Dataflow, r, c int, g systolic.Gemm, ifa, fla, ofa *layout.Analyzer) error {
-	ifmapT, filterT, ofmapT := layout.NaturalTransforms(df, g.M, g.N, g.K)
-	var ifBuf, flBuf, ofBuf []int64
-	return systolic.Stream(df, r, c, g, func(d *systolic.Demand) bool {
-		ifBuf = layout.ApplyTransform(ifBuf[:0], d.IfmapReads, systolic.IfmapBase, ifmapT)
-		flBuf = layout.ApplyTransform(flBuf[:0], d.FilterReads, systolic.FilterBase, filterT)
-		ofBuf = layout.ApplyTransform(ofBuf[:0], d.OfmapWrites, systolic.OfmapBase, ofmapT)
-		ifa.Observe(ifBuf)
-		fla.Observe(flBuf)
-		ofa.Observe(ofBuf)
-		return true
-	})
 }
 
 type memoryStage struct{}
@@ -377,26 +350,20 @@ func (memoryStage) Apply(ctx context.Context, sc *StageContext, lr *LayerResult)
 	if err != nil {
 		return err
 	}
-	df, m, n, k := sc.Dataflow, sc.M, sc.N, sc.K
-	ifW, flW, ofW := cfg.SRAMWords()
+	schedOpts, dramOpts, replayOpts := memoryOptions(cfg, sc.FilterRatio)
 	build := sc.Span.Child("schedule.build", "phase")
-	sched, err := sram.BuildSchedule(df, sc.Rows, sc.Cols, systolic.Gemm{M: m, N: n, K: k}, sram.ScheduleOptions{
-		FilterRatio:     sc.FilterRatio,
-		IfmapSRAMWords:  ifW,
-		FilterSRAMWords: flW,
-		OfmapSRAMWords:  ofW,
-	})
+	sched, err := sram.BuildSchedule(sc.Dataflow, sc.Rows, sc.Cols, systolic.Gemm{M: sc.M, N: sc.N, K: sc.K}, schedOpts)
 	build.End()
 	if err != nil {
 		return err
 	}
-	sc.Span.SetAttr("folds", len(sched.Folds))
+	sc.Span.SetAttr("folds", sched.NumFolds())
 	if sc.Fidelity == Analytical {
 		// Closed form: exact traffic, bounded stalls, no replay. The
 		// controller-detail columns of the memory row (row hits, queue
 		// pressure, latency) have no analytical meaning and stay zero.
 		sc.Span.SetAttr("engine", "analytical")
-		mres := sram.Estimate(sched, tech, cfg.Memory.Channels, sram.Options{WordBytes: cfg.WordBytes})
+		mres := sram.Estimate(sched, tech, cfg.Memory.Channels, replayOpts)
 		sc.Span.SetAttr("stall_cycles", mres.StallCycles)
 		lr.StallCycles += mres.StallCycles
 		lr.TotalCycles = lr.ComputeCycles + lr.StallCycles
@@ -410,28 +377,12 @@ func (memoryStage) Apply(ctx context.Context, sc *StageContext, lr *LayerResult)
 		}
 		return nil
 	}
-	qd := cfg.Memory.ReadQueueDepth
-	if cfg.Memory.WriteQueueDepth < qd {
-		qd = cfg.Memory.WriteQueueDepth
-	}
-	sys, err := dram.New(tech, dram.Options{
-		Channels:   cfg.Memory.Channels,
-		QueueDepth: qd,
-		Trace:      sc.Span,
-	})
+	dramOpts.Trace, replayOpts.Trace = sc.Span, sc.Span
+	sys, err := dram.New(tech, dramOpts)
 	if err != nil {
 		return err
 	}
-	maxReq := cfg.BandwidthWords * cfg.WordBytes / 64
-	if maxReq < 1 {
-		maxReq = 1
-	}
-	mres, err := sram.Simulate(ctx, sched, sys, sram.Options{
-		WordBytes:           cfg.WordBytes,
-		MaxRequestsPerCycle: maxReq,
-		StreamWindowWords:   ifW / 2,
-		Trace:               sc.Span,
-	})
+	mres, err := sram.Simulate(ctx, sched, sys, replayOpts)
 	if err != nil {
 		return err
 	}
@@ -454,6 +405,28 @@ func (memoryStage) Apply(ctx context.Context, sc *StageContext, lr *LayerResult)
 		StallCycles:    mres.StallCycles,
 	}
 	return nil
+}
+
+// memoryOptions wires the configuration into the memory workflow: the fold
+// schedule's reuse capacities, the DRAM system and the SRAM replay. The
+// memory stage and the DRAM trace writer share it, so a trace comes from
+// the same simulation as the MEMORY_REPORT row. The controller keeps one
+// queue depth for reads and writes, the smaller of the two configured.
+func memoryOptions(cfg *Config, filterRatio float64) (sram.ScheduleOptions, dram.Options, sram.Options) {
+	ifW, flW, ofW := cfg.SRAMWords()
+	return sram.ScheduleOptions{
+			FilterRatio:     filterRatio,
+			IfmapSRAMWords:  ifW,
+			FilterSRAMWords: flW,
+			OfmapSRAMWords:  ofW,
+		}, dram.Options{
+			Channels:   cfg.Memory.Channels,
+			QueueDepth: min(cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth),
+		}, sram.Options{
+			WordBytes:           cfg.WordBytes,
+			MaxRequestsPerCycle: max(1, cfg.BandwidthWords*cfg.WordBytes/64),
+			StreamWindowWords:   ifW / 2,
+		}
 }
 
 type energyStage struct{}

@@ -191,16 +191,16 @@ func (s *Simulator) writeSRAMTraces(base string, m, n, k int) error {
 	wIf := trace.NewSRAMWriter(dstIf)
 	wFl := trace.NewSRAMWriter(dstFl)
 	wOf := trace.NewSRAMWriter(dstOf)
-	err = systolic.Stream(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols,
-		systolic.Gemm{M: m, N: n, K: k}, func(d *systolic.Demand) bool {
-			wIf.Row(d.Cycle, d.IfmapReads)
-			wFl.Row(d.Cycle, d.FilterReads)
-			wOf.Row(d.Cycle, d.OfmapWrites)
-			return true
-		})
+	fs, err := systolic.NewFoldSchedule(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols, systolic.Gemm{M: m, N: n, K: k})
 	if err != nil {
 		return err
 	}
+	fs.Materialize(func(d *systolic.Demand) bool {
+		wIf.Row(d.Cycle, d.IfmapReads)
+		wFl.Row(d.Cycle, d.FilterReads)
+		wOf.Row(d.Cycle, d.OfmapWrites)
+		return true
+	})
 	for _, w := range []*trace.SRAMWriter{wIf, wFl, wOf} {
 		if err := w.Close(); err != nil {
 			return err
@@ -239,27 +239,18 @@ func (s *Simulator) writeDRAMTrace(base string, dramBase simcache.Key, m, n, k i
 	if err != nil {
 		return err
 	}
-	sys, err := dram.New(tech, dram.Options{
-		Channels:   s.cfg.Memory.Channels,
-		QueueDepth: s.cfg.Memory.ReadQueueDepth,
-	})
+	schedOpts, dramOpts, replayOpts := memoryOptions(&s.cfg, 1)
+	sys, err := dram.New(tech, dramOpts)
 	if err != nil {
 		return err
 	}
-	ifW, flW, ofW := s.cfg.SRAMWords()
 	sched, err := sram.BuildSchedule(s.cfg.Dataflow, s.cfg.ArrayRows, s.cfg.ArrayCols,
-		systolic.Gemm{M: m, N: n, K: k}, sram.ScheduleOptions{
-			IfmapSRAMWords: ifW, FilterSRAMWords: flW, OfmapSRAMWords: ofW,
-		})
+		systolic.Gemm{M: m, N: n, K: k}, schedOpts)
 	if err != nil {
 		return err
 	}
-	res, err := sram.Simulate(context.TODO(), sched, sys, sram.Options{
-		WordBytes:           s.cfg.WordBytes,
-		MaxRequestsPerCycle: maxi(1, s.cfg.BandwidthWords*s.cfg.WordBytes/64),
-		StreamWindowWords:   ifW / 2,
-		CollectTrace:        true,
-	})
+	replayOpts.CollectTrace = true
+	res, err := sram.Simulate(context.TODO(), sched, sys, replayOpts)
 	if err != nil {
 		return err
 	}
@@ -300,11 +291,4 @@ func sanitize(name string) string {
 		}
 		return '_'
 	}, name)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

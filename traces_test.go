@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -193,5 +194,61 @@ func TestWriteTracesOversizedNotCached(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if got := sanitize("Conv 1/2:ab"); got != "Conv_1_2_ab" {
 		t.Errorf("sanitize: %q", got)
+	}
+}
+
+// TestWriteTracesDRAMMatchesMemoryReport holds the DRAM trace to the
+// simulation behind the MEMORY_REPORT row: with unequal read and write
+// queue depths both must see the same controller, so the trace's request
+// count and mean read round-trip equal the report's.
+func TestWriteTracesDRAMMatchesMemoryReport(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArrayRows, cfg.ArrayCols = 16, 16
+	cfg.Memory.Enabled = true
+	cfg.Memory.ReadQueueDepth, cfg.Memory.WriteQueueDepth = 32, 2
+	topo := &Topology{Name: "tiny", Layers: []Layer{
+		{Name: "G0", Kind: 1 /* GEMM */, M: 64, N: 48, K: 40},
+	}}
+	sim := New(cfg)
+	res, err := sim.Run(context.Background(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sim.WriteTraces(topo, dir); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "G0_dram_trace.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests, reads, readLat int64
+	for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if i == 0 {
+			continue // header
+		}
+		fields := strings.Split(line, ", ")
+		if len(fields) != 4 {
+			t.Fatalf("malformed row %q", line)
+		}
+		requests++
+		if fields[2] == "R" {
+			lat, err := strconv.ParseInt(fields[3], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads++
+			readLat += lat
+		}
+	}
+	mem := res.Layers[0].Memory
+	if requests != mem.Requests {
+		t.Errorf("trace has %d requests, MEMORY_REPORT %d", requests, mem.Requests)
+	}
+	if reads == 0 {
+		t.Fatal("trace has no reads")
+	}
+	if got := float64(readLat) / float64(reads); math.Abs(got-mem.AvgReadLatency) > 1e-9*mem.AvgReadLatency {
+		t.Errorf("trace mean read latency %.4f, MEMORY_REPORT %.4f", got, mem.AvgReadLatency)
 	}
 }
